@@ -46,7 +46,7 @@ from .hardness import (
     semantic_similarity_matrix,
     ss_scores,
 )
-from .hars import run_hars
+from .hars import PipelineError, run_hars
 from .harst import run_harst
 
 
@@ -416,7 +416,11 @@ def _cmd_sweep(args) -> int:
             if report is None:
                 return None, "test rows are unlabeled"
             return report.acc_u, ""
-        except Exception as exc:  # record the failure, keep sweeping
+        except (ValueError, PipelineError) as exc:
+            # a point with bad parameters or a failed fit is recorded and the
+            # sweep goes on; any other error is a defect and stops the sweep
+            if isinstance(exc, PipelineError) and not isinstance(exc.__cause__, ValueError):
+                raise
             return None, str(exc).replace("\n", " ")
 
     threads = os.environ.get("HARDBOOST_THREADS")
@@ -471,3 +475,7 @@ def dispatch(argv) -> int:
 
 def main() -> None:
     sys.exit(dispatch(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -87,8 +87,20 @@ class FeatureTable:
         return self.features.shape[1]
 
     def rows_for(self, label: str) -> np.ndarray:
-        """Indices of the rows carrying ``label``."""
-        return np.flatnonzero(np.asarray([l == label for l in self.labels]))
+        """Ascending indices of the rows carrying ``label``; empty if none do.
+
+        The first call groups the rows by label once and caches the groups,
+        so each later call costs one lookup and one copy.
+        """
+        index = self.__dict__.get("_label_index")
+        if index is None:
+            groups: dict[str, list[int]] = {}
+            for row, name in enumerate(self.labels):
+                groups.setdefault(name, []).append(row)
+            index = {name: np.asarray(rows, dtype=np.intp) for name, rows in groups.items()}
+            object.__setattr__(self, "_label_index", index)
+        rows = index.get(label)
+        return np.empty(0, dtype=np.intp) if rows is None else rows.copy()
 
 
 @dataclass(frozen=True)
@@ -265,6 +277,11 @@ def load_feature_table(path, fmt: str = "binary") -> FeatureTable:
 
 
 def write_feature_table(table: FeatureTable, path, fmt: str = "binary") -> None:
+    for row, label in enumerate(table.labels):
+        try:
+            label.encode("utf-8")
+        except UnicodeEncodeError:
+            raise DataError(f"row {row}: label is not encodable as UTF-8") from None
     if fmt == "binary":
         atomic_write_bytes(path, _feature_binary_bytes(table))
     elif fmt == "csv":

@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import ClassSplit, FeatureTable, SemanticTable, atomic_write_text, dump_json
+from .models import nearest_rows
 from .rng import substream
 
 #: seen-side distances averaged per unseen class
@@ -136,6 +137,9 @@ def estimate_class_priors(
     given (one per row), each cluster is attributed to its majority pseudo
     label, tying cluster mass to a concrete class; otherwise proportions are
     assigned in descending order to the lexicographically sorted classes.
+    Each row goes to its nearest center through
+    :func:`~hardboost.models.nearest_rows`, which returns the exact
+    squared-distance argmin with ties broken on the lower center index.
     Deterministic given ``seed``; empty clusters trigger a restart.
     """
     if unlabeled.n == 0:
@@ -157,8 +161,7 @@ def estimate_class_priors(
         centers = x[rng.choice(m, size=c, replace=False)]
         assign = None
         for _ in range(100):
-            d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-            new_assign = d2.argmin(axis=1)
+            new_assign = nearest_rows(x, centers)
             if np.unique(new_assign).size < c:
                 assign = None
                 break

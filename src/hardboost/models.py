@@ -127,23 +127,61 @@ def _prototype_matrix(
     return cand, protos
 
 
+def nearest_rows(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Index of the nearest center (squared Euclidean) for each row of ``x``.
+
+    The result is exactly the argmin of the direct form
+    ``((x[i] - centers) ** 2).sum(axis=1)``, ties included: they break on the
+    lower center index.  Distances are screened with the GEMM form
+    ``|x|^2 - 2 x.c + |c|^2``.  Both forms err by at most
+    ``(v + 2) * eps * (|x| + max|c|)^2`` per entry, so a row whose best and
+    second-best screened distances lie within four times that bound is
+    re-decided by the direct form.  Memory is one ``(n, c)`` matrix plus one
+    ``(c, v)`` block per re-decided row.
+
+    The re-check is a Python loop over rows, and its tolerance grows with the
+    squared norms, not with the distances.  Rows far from the origin relative
+    to their spread, exact midpoints, and duplicated centers (every row ties
+    between the copies) all take the slow per-row path: the answer stays
+    exact, but the cost approaches that of a per-row scan.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    centers = np.asarray(centers, dtype=np.float64)
+    if x.ndim != 2 or centers.ndim != 2 or x.shape[1] != centers.shape[1]:
+        raise ValueError(
+            f"need (n, v) rows and (c, v) centers, got {x.shape} and {centers.shape}"
+        )
+    if centers.shape[0] == 0:
+        raise ValueError("need at least one center")
+    if centers.shape[0] == 1:
+        return np.zeros(x.shape[0], dtype=np.intp)
+    x_sq = np.einsum("ij,ij->i", x, x)
+    c_sq = np.einsum("ij,ij->i", centers, centers)
+    d2 = np.add.outer(x_sq, c_sq)
+    d2 -= 2.0 * (x @ centers.T)
+    picks = d2.argmin(axis=1)
+    two_best = np.partition(d2, 1, axis=1)
+    gap = two_best[:, 1] - two_best[:, 0]
+    scale = np.sqrt(x_sq) + np.sqrt(c_sq.max())
+    tol = 4.0 * (x.shape[1] + 2) * np.finfo(np.float64).eps * scale**2
+    # a screen that may have overflowed has tol = inf; ``not >`` also catches nan
+    for i in np.flatnonzero(~(gap > tol)):
+        picks[i] = ((x[i] - centers) ** 2).sum(axis=1).argmin()
+    return picks
+
+
 def classify_embedding(
     model: EmbeddingModel, x: np.ndarray, candidates, semantics: SemanticTable
 ) -> str:
     """Nearest mapped prototype among the candidates; ties break on class id."""
-    cand, protos = _prototype_matrix(model, candidates, semantics)
-    diffs = np.asarray(x, dtype=np.float64)[None, :] - protos
-    return cand[int(np.argmin((diffs**2).sum(axis=1)))]
+    return classify_embedding_batch(model, np.reshape(x, (1, -1)), candidates, semantics)[0]
 
 
 def classify_embedding_batch(
     model: EmbeddingModel, features: np.ndarray, candidates, semantics: SemanticTable
 ) -> list[str]:
     cand, protos = _prototype_matrix(model, candidates, semantics)
-    feats = np.asarray(features, dtype=np.float64)
-    diffs = feats[:, None, :] - protos[None, :, :]
-    picks = (diffs**2).sum(axis=2).argmin(axis=1)
-    return [cand[i] for i in picks]
+    return [cand[i] for i in nearest_rows(features, protos)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hardboost
+from hardboost import hars as hars_module
 from hardboost.cli import dispatch, load_predictions
 from hardboost.config import load_run_config, parse_run_config
 from hardboost.data import ConfigError
@@ -66,6 +72,23 @@ class TestSynth:
         } <= names
         truth = json.loads((data_dir / "ground_truth.json").read_text())
         assert truth["hard"] == ["u00", "u01", "u02", "u03"]
+
+    @pytest.mark.parametrize("module", ["hardboost.cli", "hardboost"])
+    def test_python_dash_m_runs_the_command(self, module, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(dict(
+            seen_count=6, unseen_count=4, semantic_dim=10, visual_dim=6, n_per_class=3,
+            hard_pairs=1, affinity_gap=0.2, noise_scale=0.1, seed=2,
+        )))
+        out = tmp_path / "d"
+        src = str(Path(hardboost.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-m", module, "synth", "--spec", str(spec), "--out", str(out)],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        assert (out / "train_seen.zsf").is_file()
 
     def test_unknown_spec_key_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -236,6 +259,41 @@ class TestSweep:
         bad = lines[2].split(",")
         assert good[0] == "2" and good[2] == ""
         assert bad[0] == "999" and bad[1] == "" and bad[2]
+
+    @staticmethod
+    def sweep_one_point(data_dir, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json")
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"K": [2]}))
+        return dispatch(
+            ["sweep", "--data", str(data_dir), "--config", str(cfg),
+             "--grid", str(grid), "--pipeline", "hars", "--out", str(tmp_path / "sweep")]
+        )
+
+    def test_programming_error_is_not_recorded(self, data_dir, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("broken pipeline")
+
+        monkeypatch.setattr("hardboost.cli.run_hars", broken)
+        with pytest.raises(TypeError, match="broken pipeline"):
+            self.sweep_one_point(data_dir, tmp_path)
+        assert not (tmp_path / "sweep" / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("error, code", [(ValueError, 0), (TypeError, 2)])
+    def test_stage_failure_recorded_only_for_value_errors(
+        self, error, code, data_dir, tmp_path, monkeypatch
+    ):
+        def failing(*args, **kwargs):
+            raise error("stage broke")
+
+        monkeypatch.setattr(hars_module, "synthesize_hard_seen", failing)
+        assert self.sweep_one_point(data_dir, tmp_path) == code
+        csv = tmp_path / "sweep" / "sweep.csv"
+        if error is ValueError:
+            row = csv.read_text().strip().splitlines()[1]
+            assert "synthesize-hard-seen" in row and "stage broke" in row
+        else:
+            assert not csv.exists()
 
     def test_unknown_grid_parameter(self, data_dir, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")

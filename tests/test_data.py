@@ -27,7 +27,30 @@ def make_split():
     return ClassSplit(seen=frozenset({"a", "b"}), unseen=frozenset({"c", "d"}))
 
 
+def _utf8_encodable(text):
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 class TestFeatureTable:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        labels=st.lists(st.sampled_from(["a", "b", "c", "", "a\x00", "é"]), max_size=30),
+        probe=st.sampled_from(["a", "b", "c", "", "a\x00", "é", "absent"]),
+    )
+    def test_rows_for_equals_label_scan(self, labels, probe):
+        table = FeatureTable(features=np.zeros((len(labels), 1), dtype=np.float32), labels=labels)
+        rows = table.rows_for(probe)
+        expected = np.flatnonzero(np.asarray([l == probe for l in labels], dtype=bool))
+        assert rows.dtype == np.intp
+        np.testing.assert_array_equal(rows, expected)
+        # the cached index hands out copies
+        rows[:] = -1
+        np.testing.assert_array_equal(table.rows_for(probe), expected)
+
     def test_csv_parse(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("a,1.0,2.0\nb,3.0,4.0\n")
@@ -91,6 +114,13 @@ class TestFeatureTable:
         with pytest.raises(DataError):
             load_feature_table(path)
 
+    @pytest.mark.parametrize("fmt", ["binary", "csv"])
+    def test_unencodable_label_rejected_on_write(self, tmp_path, fmt):
+        table = FeatureTable(features=np.ones((2, 1), dtype=np.float32), labels=("a", "\ud800"))
+        with pytest.raises(DataError, match="row 1.*UTF-8"):
+            write_feature_table(table, tmp_path / "t", fmt=fmt)
+        assert not (tmp_path / "t").exists()
+
     def test_non_finite_rejected_at_construction(self):
         with pytest.raises(ValidationError, match="row 1"):
             FeatureTable(
@@ -114,6 +144,12 @@ class TestFeatureTable:
         )
         table = FeatureTable(features=features, labels=labels)
         path = tmp_path_factory.mktemp("rt") / "t.zsf"
+        # a lone surrogate cannot be written; the writer names its row
+        bad = [row for row, l in enumerate(labels) if not _utf8_encodable(l)]
+        if bad:
+            with pytest.raises(DataError, match=f"row {bad[0]}: .*UTF-8"):
+                write_feature_table(table, path)
+            return
         write_feature_table(table, path)
         loaded = load_feature_table(path)
         assert loaded.labels == table.labels

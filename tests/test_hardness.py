@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -213,6 +215,23 @@ class TestPriorEstimation:
         first = estimate_class_priors(table, split, seed=11)
         second = estimate_class_priors(table, split, seed=11)
         assert first == second
+
+    def test_memory_is_not_rows_by_clusters_by_dim(self, rng):
+        n, c, v = 500, 40, 256
+        means = rng.normal(size=(c, v)) * 10
+        feats = means[np.arange(n) % c] + rng.normal(size=(n, v))
+        table = FeatureTable(features=feats.astype(np.float32), labels=("?",) * n)
+        split = ClassSplit(
+            seen=frozenset({"s"}), unseen=frozenset(f"c{j:02d}" for j in range(c))
+        )
+        tracemalloc.start()
+        try:
+            priors = estimate_class_priors(table, split, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(priors) == c
+        assert peak < n * c * v * 8 / 10  # the old broadcast tensor was 41 MB
 
     def test_too_few_samples(self):
         table = FeatureTable(features=np.ones((1, 2), dtype=np.float32), labels=("?",))

@@ -1,11 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardboost.data import FeatureTable, SemanticTable
 from hardboost.models import (
     COVARIANCE_FLOOR,
     Classifier,
     ClassifierConfig,
+    EmbeddingModel,
     SingularFitError,
     classify_embedding,
     classify_embedding_batch,
@@ -15,6 +20,7 @@ from hardboost.models import (
     fit_embedding_rows,
     fit_generator,
     load_model,
+    nearest_rows,
     predict_classifier,
     predict_classifier_batch,
     predict_proba,
@@ -115,6 +121,77 @@ class TestClassifyEmbedding:
         model = self.fitted()
         with pytest.raises(KeyError, match="zz"):
             classify_embedding(model, [0.0, 0.0], {"zz"}, self.SEM)
+
+
+def direct_argmin(x, centers):
+    """The reference rule: per-row direct squared distance, first minimum."""
+    return np.asarray([((row - centers) ** 2).sum(axis=1).argmin() for row in x])
+
+
+class TestNearestRows:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        v=st.integers(1, 6),
+        c=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        duplicate=st.booleans(),
+    )
+    def test_equals_direct_argmin_on_planted_ties(self, v, c, seed, scale, duplicate):
+        rng = np.random.default_rng(seed)
+        # small integer grids make exact distance ties common
+        centers = rng.integers(-3, 4, size=(c, v)) * scale
+        if duplicate and c > 1:
+            centers[-1] = centers[0]
+        a = rng.integers(0, c, size=8)
+        b = rng.integers(0, c, size=8)
+        x = np.concatenate([
+            (centers[a] + centers[b]) / 2,  # midpoints between two centers
+            centers[a],  # exact center hits
+            rng.integers(-3, 4, size=(8, v)) * scale,
+            rng.normal(size=(4, v)) * scale,
+        ])
+        np.testing.assert_array_equal(nearest_rows(x, centers), direct_argmin(x, centers))
+
+    @pytest.mark.parametrize("v", [2, 3, 17, 312, 512, 2048])
+    def test_matches_broadcast_reduction(self, v, rng):
+        centers = rng.normal(size=(12, v))
+        centers[7] = centers[2]
+        x = np.concatenate([
+            rng.normal(size=(20, v)),
+            (centers[:6] + centers[6:]) / 2,
+            centers[[2, 7, 5]],
+        ])
+        broadcast = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+        np.testing.assert_array_equal(nearest_rows(x, centers), broadcast)
+
+    def test_ties_break_on_lower_index(self):
+        centers = np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]])
+        x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 5.0]])
+        assert nearest_rows(x, centers).tolist() == [0, 0, 0]
+
+    def test_single_center_and_no_rows(self):
+        assert nearest_rows(np.ones((3, 2)), np.zeros((1, 2))).tolist() == [0, 0, 0]
+        assert nearest_rows(np.empty((0, 2)), np.eye(2)).shape == (0,)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="centers"):
+            nearest_rows(np.ones((3, 2)), np.ones((2, 3)))
+        with pytest.raises(ValueError, match="at least one"):
+            nearest_rows(np.ones((3, 2)), np.empty((0, 2)))
+
+    def test_batch_memory_is_not_rows_by_classes_by_dim(self, rng):
+        n, c, v, s = 500, 40, 256, 8
+        sem = SemanticTable(vectors={f"k{j:02d}": rng.normal(size=s) for j in range(c)})
+        model = EmbeddingModel(weights=rng.normal(size=(v, s)), bias=rng.normal(size=v), ridge=0.0)
+        feats = rng.normal(size=(n, v))
+        tracemalloc.start()
+        try:
+            classify_embedding_batch(model, feats, set(sem.vectors), sem)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * c * v * 8 / 10  # the old broadcast tensor was 41 MB
 
 
 class TestFitGenerator:
