@@ -13,28 +13,6 @@ from hardboost.config import load_run_config, parse_run_config
 from hardboost.data import ConfigError
 
 
-@pytest.fixture(scope="module")
-def data_dir(tmp_path_factory):
-    """A synthesized benchmark directory shared across CLI tests."""
-    root = tmp_path_factory.mktemp("cli")
-    spec = dict(
-        seen_count=12,
-        unseen_count=8,
-        semantic_dim=20,
-        visual_dim=24,
-        n_per_class=20,
-        hard_pairs=2,
-        affinity_gap=0.2,
-        noise_scale=0.1,
-        seed=11,
-    )
-    spec_path = root / "spec.json"
-    spec_path.write_text(json.dumps(spec))
-    out = root / "data"
-    assert dispatch(["synth", "--spec", str(spec_path), "--out", str(out)]) == 0
-    return out
-
-
 def write_config(path, **overrides):
     config = {"K": 4, "T": 3, "alpha": 2.0, "beta": 2.0, "N_u": 20, "seed": 5}
     config.update(overrides)
