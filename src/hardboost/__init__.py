@@ -34,6 +34,7 @@ from .models import (
     fit_generator,
     predict_classifier,
     sample_generator,
+    sample_per_class,
 )
 from .evaluation import (
     EvalReport,
@@ -43,6 +44,7 @@ from .evaluation import (
     confusion_matrix,
     contrastive_analysis,
     evaluate,
+    evaluate_if_labeled,
     harmonic_mean,
     identification_quality,
 )

@@ -8,8 +8,7 @@ file), ``analyze`` (identification-quality and contrastive studies), and
 
 Every run writes its outputs atomically plus a ``manifest.json`` recording
 the command, config hash, seed, and input digests; identical manifests
-reproduce identical output bytes.  ``HARDBOOST_THREADS`` caps sweep
-parallelism (default: machine parallelism).
+reproduce identical output bytes.
 """
 
 from __future__ import annotations
@@ -18,11 +17,9 @@ import argparse
 import hashlib
 import itertools
 import json
-import os
 import sys
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
@@ -423,11 +420,7 @@ def _cmd_sweep(args) -> int:
                 raise
             return None, str(exc).replace("\n", " ")
 
-    threads = os.environ.get("HARDBOOST_THREADS")
-    max_workers = int(threads) if threads else (os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=max(1, max_workers)) as pool:
-        results = list(pool.map(run_point, points))
-
+    results = [run_point(p) for p in points]
     lines = [",".join(keys) + ",acc_u,error"]
     for point, (acc, err) in zip(points, results):
         acc_str = "" if acc is None else repr(acc)

@@ -4,32 +4,24 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from .data import ConfigError
 from .hars import HarsConfig
-from .harst import HarstConfig
+from .harst import BASE_MODELS, LABEL_SPACES, METRICS, SELECTIONS, HarstConfig
 from .models import ClassifierConfig
 
-_TOP_KEYS = {
-    "K",
-    "T",
-    "alpha",
-    "beta",
-    "S",
-    "N_u",
-    "seed",
-    "metric",
-    "base_model",
-    "selection",
-    "label_space",
-    "ridge",
-    "classifier",
+# config-file keys of the fields whose file key is not the field name
+_FILE_KEYS = {"hard_count": "K", "iterations": "T", "support_count": "S", "n_unseen": "N_u"}
+_CHOICES = {
+    "metric": {"ss", *METRICS},
+    "base_model": set(BASE_MODELS),
+    "selection": set(SELECTIONS),
+    "label_space": set(LABEL_SPACES),
 }
-_CLASSIFIER_KEYS = {"learning_rate", "epochs", "batch_size", "seed"}
-_METRICS = {"ss", "cf", "pncf"}
-_BASE_MODELS = {"embedding", "generative"}
+# JSON values each field annotation accepts; bools are never numbers here
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 
 
 @dataclass(frozen=True)
@@ -51,46 +43,12 @@ class RunConfig:
     classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
 
     def with_seed(self, seed: int) -> "RunConfig":
-        return RunConfig(**{**self.as_dict_args(), "seed": seed})
-
-    def as_dict_args(self) -> dict:
-        return {
-            "hard_count": self.hard_count,
-            "iterations": self.iterations,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "support_count": self.support_count,
-            "n_unseen": self.n_unseen,
-            "seed": self.seed,
-            "metric": self.metric,
-            "base_model": self.base_model,
-            "selection": self.selection,
-            "label_space": self.label_space,
-            "ridge": self.ridge,
-            "classifier": self.classifier,
-        }
+        return replace(self, seed=seed)
 
     def to_json_dict(self) -> dict:
-        return {
-            "K": self.hard_count,
-            "T": self.iterations,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "S": self.support_count,
-            "N_u": self.n_unseen,
-            "seed": self.seed,
-            "metric": self.metric,
-            "base_model": self.base_model,
-            "selection": self.selection,
-            "label_space": self.label_space,
-            "ridge": self.ridge,
-            "classifier": {
-                "learning_rate": self.classifier.learning_rate,
-                "epochs": self.classifier.epochs,
-                "batch_size": self.classifier.batch_size,
-                "seed": self.classifier.seed,
-            },
-        }
+        obj = {_FILE_KEYS.get(f.name, f.name): getattr(self, f.name) for f in fields(self)}
+        obj["classifier"] = asdict(self.classifier)
+        return obj
 
     def digest(self) -> str:
         canon = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
@@ -124,56 +82,40 @@ class RunConfig:
         )
 
 
+def _checked(key: str, value, kind: str, source: str):
+    """``value`` for a field annotated ``kind``; any other JSON type is an error."""
+    if value is None and kind.endswith(" | None"):
+        return None
+    kind = kind.removesuffix(" | None")
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+        raise ConfigError(f"{source}: {key} must be of type {kind}, got {value!r}")
+    if key in _CHOICES and value not in _CHOICES[key]:
+        raise ConfigError(f"{source}: {key} must be one of {sorted(_CHOICES[key])}")
+    return float(value) if kind == "float" else value
+
+
+def _field_args(cls, obj: dict, source: str, prefix: str = "") -> dict:
+    """Constructor arguments of dataclass ``cls`` from the file object ``obj``;
+    absent keys keep their defaults."""
+    by_key = {_FILE_KEYS.get(f.name, f.name): f for f in fields(cls)}
+    unknown = sorted(set(obj) - set(by_key))
+    if unknown:
+        raise ConfigError(f"{source}: unknown key {prefix + unknown[0]!r}")
+    return {
+        by_key[key].name: _checked(prefix + key, value, by_key[key].type, source)
+        for key, value in obj.items()
+    }
+
+
 def parse_run_config(obj: dict, source: str = "config") -> RunConfig:
     if not isinstance(obj, dict):
         raise ConfigError(f"{source}: expected a JSON object")
-    unknown = sorted(set(obj) - _TOP_KEYS)
-    if unknown:
-        raise ConfigError(f"{source}: unknown key {unknown[0]!r}")
     clf_obj = obj.get("classifier", {})
+    top = _field_args(RunConfig, {k: v for k, v in obj.items() if k != "classifier"}, source)
     if not isinstance(clf_obj, dict):
         raise ConfigError(f"{source}: classifier must be an object")
-    unknown = sorted(set(clf_obj) - _CLASSIFIER_KEYS)
-    if unknown:
-        raise ConfigError(f"{source}: unknown classifier key {unknown[0]!r}")
-
-    defaults = RunConfig()
-    try:
-        metric = str(obj.get("metric", defaults.metric))
-        base_model = str(obj.get("base_model", defaults.base_model))
-        if metric not in _METRICS:
-            raise ConfigError(f"{source}: metric must be one of {sorted(_METRICS)}")
-        if base_model not in _BASE_MODELS:
-            raise ConfigError(f"{source}: base_model must be one of {sorted(_BASE_MODELS)}")
-        classifier = ClassifierConfig(
-            learning_rate=float(clf_obj.get("learning_rate", 0.1)),
-            epochs=int(clf_obj.get("epochs", 200)),
-            batch_size=(
-                None
-                if clf_obj.get("batch_size") is None
-                else int(clf_obj["batch_size"])
-            ),
-            seed=int(clf_obj.get("seed", 0)),
-        )
-        return RunConfig(
-            hard_count=int(obj.get("K", defaults.hard_count)),
-            iterations=int(obj.get("T", defaults.iterations)),
-            alpha=float(obj.get("alpha", defaults.alpha)),
-            beta=float(obj.get("beta", defaults.beta)),
-            support_count=int(obj.get("S", defaults.support_count)),
-            n_unseen=int(obj.get("N_u", defaults.n_unseen)),
-            seed=int(obj.get("seed", defaults.seed)),
-            metric=metric,
-            base_model=base_model,
-            selection=str(obj.get("selection", defaults.selection)),
-            label_space=str(obj.get("label_space", defaults.label_space)),
-            ridge=float(obj.get("ridge", defaults.ridge)),
-            classifier=classifier,
-        )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"{source}: {exc}") from None
+    classifier = ClassifierConfig(**_field_args(ClassifierConfig, clf_obj, source, "classifier."))
+    return RunConfig(**top, classifier=classifier)
 
 
 def load_run_config(path) -> RunConfig:

@@ -22,7 +22,7 @@ from .models import (
     fit_embedding,
     fit_generator,
     predict_classifier_batch,
-    sample_generator,
+    sample_per_class,
 )
 from .rng import child_seed
 
@@ -122,6 +122,14 @@ def evaluate(preds, truths, split: ClassSplit) -> EvalReport:
         confusion=confusion,
         classes=axis,
     )
+
+
+def evaluate_if_labeled(bundle: DatasetBundle, preds) -> EvalReport | None:
+    """Score predictions on the unseen test rows; None when they are unlabeled."""
+    truths = list(bundle.test_unseen.labels)
+    if any(t == UNLABELED for t in truths):
+        return None
+    return evaluate(preds, truths, bundle.split)
 
 
 def confusion_matrix(
@@ -325,15 +333,9 @@ def _uniform_generative_run(
 ) -> EvalReport:
     gen = fit_generator(bundle.train_seen, bundle.semantics, ridge)
     classes = sorted(bundle.split.unseen)
-    feats, labels = [], []
-    for idx, cls in enumerate(classes):
-        feats.append(
-            sample_generator(
-                gen, bundle.semantics[cls], n_per_class, child_seed(seed, "oracle-gen", idx)
-            )
-        )
-        labels.extend([cls] * n_per_class)
-    model = fit_classifier(np.concatenate(feats), labels, classes, clf)
+    counts = dict.fromkeys(classes, n_per_class)
+    feats, labels = sample_per_class(gen, bundle.semantics, counts, seed, "oracle-gen")
+    model = fit_classifier(feats, labels, classes, clf)
     preds = predict_classifier_batch(model, bundle.test_unseen.features)
     return evaluate(preds, _truth_labels(bundle.test_unseen), bundle.split)
 
@@ -391,16 +393,10 @@ def contrastive_analysis(
             raise ValueError("the inductive study varies synthesis counts; base must be generative")
         gen = fit_generator(bundle.train_seen, bundle.semantics, ridge)
         for name in GROUP_NAMES:
-            feats, labels = [], []
-            for idx, cls in enumerate(classes):
-                count = group_counts[name][cls]
-                feats.append(
-                    sample_generator(
-                        gen, bundle.semantics[cls], count, child_seed(seed, "group-gen", name, idx)
-                    )
-                )
-                labels.extend([cls] * count)
-            model = fit_classifier(np.concatenate(feats), labels, classes, classifier)
+            feats, labels = sample_per_class(
+                gen, bundle.semantics, group_counts[name], seed, "group-gen", name
+            )
+            model = fit_classifier(feats, labels, classes, classifier)
             preds = predict_classifier_batch(model, bundle.test_unseen.features)
             reports[name] = evaluate(preds, truths, bundle.split)
         return reports
@@ -447,15 +443,10 @@ def contrastive_analysis(
             )
         else:
             gen = fit_generator(merged, bundle.semantics, ridge)
-            feats, labels = [], []
-            for idx, cls in enumerate(classes):
-                feats.append(
-                    sample_generator(
-                        gen, bundle.semantics[cls], n, child_seed(seed, "group-clf", name, idx)
-                    )
-                )
-                labels.extend([cls] * n)
-            clf_model = fit_classifier(np.concatenate(feats), labels, classes, classifier)
+            feats, labels = sample_per_class(
+                gen, bundle.semantics, dict.fromkeys(classes, n), seed, "group-clf", name
+            )
+            clf_model = fit_classifier(feats, labels, classes, classifier)
             preds = predict_classifier_batch(clf_model, test_feats)
         reports[name] = evaluate(preds, truths, bundle.split)
     return reports

@@ -10,7 +10,7 @@ more generated samples for hard classes than for easy ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -19,17 +19,16 @@ from .data import (
     DatasetBundle,
     FeatureTable,
     SemanticTable,
-    UNLABELED,
     validate_bundle,
 )
-from .evaluation import EvalReport, evaluate
+from .evaluation import EvalReport, evaluate_if_labeled
 from .hardness import HardnessReport, cosine_distance, ss_scores
 from .models import (
     ClassifierConfig,
     fit_classifier,
     fit_generator,
     predict_classifier_batch,
-    sample_generator,
+    sample_per_class,
 )
 from .rng import child_seed, substream
 
@@ -207,35 +206,19 @@ def synthesize_unseen(
     if n_unseen < 1:
         raise ValueError("n_unseen must be >= 1")
     hard = set(hard)
-    classes = sorted(split.unseen)
-    out_feats, labels, provenance = [], [], []
-    sems = []
-    for idx, cls in enumerate(classes):
-        count = _round_half_away(beta * n_unseen) if cls in hard else n_unseen
-        samples = sample_generator(
-            gen, semantics[cls], count, child_seed(seed, "unseen-gen", idx)
-        )
-        out_feats.append(samples)
-        sems.append(np.broadcast_to(semantics[cls], (count, semantics.dim)))
-        labels.extend([cls] * count)
-        provenance.extend(
-            Provenance(gamma=None, source_classes=(cls,), source_rows=()) for _ in range(count)
-        )
+    counts = {
+        cls: _round_half_away(beta * n_unseen) if cls in hard else n_unseen
+        for cls in sorted(split.unseen)
+    }
+    features, labels = sample_per_class(gen, semantics, counts, seed, "unseen-gen")
     return SynthSet(
-        features=np.concatenate(out_feats),
-        semantics=np.concatenate(sems).astype(np.float64),
+        features=features,
+        semantics=np.repeat(semantics.matrix(counts), list(counts.values()), axis=0),
         labels=tuple(labels),
         tags=("unseen-gen",) * len(labels),
-        provenance=tuple(provenance),
-    )
-
-
-def _classifier_config_with_seed(config: ClassifierConfig, seed: int) -> ClassifierConfig:
-    return ClassifierConfig(
-        learning_rate=config.learning_rate,
-        epochs=config.epochs,
-        batch_size=config.batch_size,
-        seed=child_seed(seed, "classifier"),
+        provenance=tuple(
+            Provenance(gamma=None, source_classes=(cls,), source_rows=()) for cls in labels
+        ),
     )
 
 
@@ -263,18 +246,11 @@ def run_generative_baseline(
         synth.features,
         list(synth.labels),
         classes,
-        _classifier_config_with_seed(config.classifier, config.seed),
+        replace(config.classifier, seed=child_seed(config.seed, "classifier")),
     )
     preds = _stage("predict", predict_classifier_batch, clf, bundle.test_unseen.features)
-    report = _evaluate_if_labeled(bundle, preds)
+    report = _stage("evaluate", evaluate_if_labeled, bundle, preds)
     return preds, report
-
-
-def _evaluate_if_labeled(bundle: DatasetBundle, preds) -> EvalReport | None:
-    truths = list(bundle.test_unseen.labels)
-    if any(t == UNLABELED for t in truths):
-        return None
-    return _stage("evaluate", evaluate, preds, truths, bundle.split)
 
 
 def run_hars(
@@ -332,8 +308,8 @@ def run_hars(
         synth.features,
         list(synth.labels),
         classes,
-        _classifier_config_with_seed(config.classifier, config.seed),
+        replace(config.classifier, seed=child_seed(config.seed, "classifier")),
     )
     preds = _stage("predict", predict_classifier_batch, clf, bundle.test_unseen.features)
-    eval_report = _evaluate_if_labeled(bundle, preds)
+    eval_report = _stage("evaluate", evaluate_if_labeled, bundle, preds)
     return preds, report, eval_report

@@ -11,19 +11,19 @@ less.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import DatasetBundle, FeatureTable, UNLABELED, validate_bundle
-from .evaluation import EvalReport, evaluate
+from .data import DatasetBundle, FeatureTable, validate_bundle
+from .evaluation import EvalReport, evaluate_if_labeled
 from .hardness import (
     HardnessReport,
     estimate_class_priors,
     normalize_by_prior,
     pseudo_label_histogram,
 )
-from .hars import _classifier_config_with_seed, _stage
+from .hars import _stage
 from .models import (
     ClassifierConfig,
     classify_embedding_batch,
@@ -31,19 +31,24 @@ from .models import (
     fit_embedding_rows,
     fit_generator,
     predict_classifier_batch,
-    sample_generator,
+    sample_per_class,
 )
 from .rng import child_seed, substream
+
+METRICS = ("cf", "pncf")
+BASE_MODELS = ("embedding", "generative")
+SELECTIONS = ("cfbs", "rs")  # "rs" is the size-matched random baseline
+LABEL_SPACES = ("unseen", "all")  # "all" is the compound generalized setting
 
 
 @dataclass(frozen=True)
 class HarstConfig:
     iterations: int
     hard_count: int
-    metric: str = "cf"  # "cf" or "pncf"
-    base: str = "embedding"  # "embedding" or "generative"
-    selection: str = "cfbs"  # "cfbs" or "rs" (size-matched random baseline)
-    label_space: str = "unseen"  # "unseen" or "all" (compound generalized setting)
+    metric: str = "cf"  # one of METRICS
+    base: str = "embedding"  # one of BASE_MODELS
+    selection: str = "cfbs"  # one of SELECTIONS
+    label_space: str = "unseen"  # one of LABEL_SPACES
     n_unseen: int = 100  # generated rows per class for the generative base
     seed: int = 0
     ridge: float = 0.1
@@ -54,13 +59,13 @@ class HarstConfig:
             raise ValueError("iterations must be >= 1")
         if self.hard_count < 1:
             raise ValueError("hard_count must be >= 1")
-        if self.metric not in {"cf", "pncf"}:
+        if self.metric not in METRICS:
             raise ValueError(f"unknown metric {self.metric!r}")
-        if self.base not in {"embedding", "generative"}:
+        if self.base not in BASE_MODELS:
             raise ValueError(f"unknown base model {self.base!r}")
-        if self.selection not in {"cfbs", "rs"}:
+        if self.selection not in SELECTIONS:
             raise ValueError(f"unknown selection {self.selection!r}")
-        if self.label_space not in {"unseen", "all"}:
+        if self.label_space not in LABEL_SPACES:
             raise ValueError(f"unknown label space {self.label_space!r}")
 
 
@@ -183,24 +188,19 @@ class _BaseModel:
                 model, bundle.test_unseen.features, self.candidates, bundle.semantics
             )
         gen = fit_generator(train, bundle.semantics, config.ridge)
-        feats, labels = [], []
-        for idx, cls in enumerate(sorted(bundle.split.unseen)):
-            samples = sample_generator(
-                gen,
-                bundle.semantics[cls],
-                config.n_unseen,
-                child_seed(config.seed, "refit-gen", refit_index, idx),
-            )
-            feats.append(samples)
-            labels.extend([cls] * config.n_unseen)
+        counts = dict.fromkeys(sorted(bundle.split.unseen), config.n_unseen)
+        feats, labels = sample_per_class(
+            gen, bundle.semantics, counts, config.seed, "refit-gen", refit_index
+        )
         if config.label_space == "all":
-            feats.append(train.features.astype(np.float64))
+            feats = np.concatenate([feats, train.features.astype(np.float64)])
             labels.extend(train.labels)
+        refit_seed = child_seed(config.seed, "refit", refit_index)
         clf = fit_classifier(
-            np.concatenate(feats),
+            feats,
             labels,
             self.candidates,
-            _classifier_config_with_seed(config.classifier, child_seed(config.seed, "refit", refit_index)),
+            replace(config.classifier, seed=child_seed(refit_seed, "classifier")),
         )
         return predict_classifier_batch(clf, bundle.test_unseen.features)
 
@@ -265,7 +265,7 @@ def run_harst(
             child_seed(config.seed, "priors"),
             initial,
         )
-    initial_eval = _evaluate_snapshot(bundle, initial)
+    initial_eval = evaluate_if_labeled(bundle, initial)
     current = initial
 
     records: list[IterationRecord] = []
@@ -304,7 +304,7 @@ def run_harst(
                     selected_per_class=per_class,
                     quota=quota,
                     pseudo_labels=tuple(current),
-                    evaluation=_evaluate_snapshot(bundle, current),
+                    evaluation=evaluate_if_labeled(bundle, current),
                 )
             )
     except Exception as exc:
@@ -321,10 +321,3 @@ def run_harst(
         records=tuple(records),
     )
     return current, trace
-
-
-def _evaluate_snapshot(bundle: DatasetBundle, preds) -> EvalReport | None:
-    truths = list(bundle.test_unseen.labels)
-    if any(t == UNLABELED for t in truths):
-        return None
-    return evaluate(preds, truths, bundle.split)

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import FeatureTable, SemanticTable, atomic_write_bytes
+from .rng import child_seed
 
 COVARIANCE_FLOOR = 1e-6
 
@@ -86,14 +87,8 @@ def fit_embedding(
     train: FeatureTable, semantics: SemanticTable, ridge: float = 0.0
 ) -> EmbeddingModel:
     """Closed-form ridge fit of class-mean features on semantic vectors."""
-    if ridge < 0:
-        raise ValueError("ridge must be >= 0")
     _, means, sem = _class_means(train, semantics)
-    sem_center = sem.mean(axis=0)
-    mean_center = means.mean(axis=0)
-    weights = _ridge_solve(sem - sem_center, means - mean_center, ridge)
-    bias = mean_center - weights @ sem_center
-    return EmbeddingModel(weights=weights, bias=bias, ridge=float(ridge))
+    return fit_embedding_rows(sem, means, ridge)
 
 
 def fit_embedding_rows(
@@ -101,8 +96,8 @@ def fit_embedding_rows(
 ) -> EmbeddingModel:
     """Ridge fit over explicit (semantic vector, feature vector) rows.
 
-    Same closed form as :func:`fit_embedding` but without the collapse to
-    class means, so repeated rows weight the fit by their multiplicity.
+    :func:`fit_embedding` is this fit over one row per class, its mean;
+    here repeated rows weight the fit by their multiplicity.
     """
     if ridge < 0:
         raise ValueError("ridge must be >= 0")
@@ -270,6 +265,22 @@ def sample_generator(
     return mean + rng.standard_normal((n, v)) * np.sqrt(model.covariance)
 
 
+def sample_per_class(
+    model: GenerativeModel, semantics: SemanticTable, counts: dict[str, int], seed: int, *stream
+) -> tuple[np.ndarray, list[str]]:
+    """Draw ``counts[cls]`` rows per class, classes in the dict's order.
+
+    Class ``i`` of ``counts`` draws from ``child_seed(seed, *stream, i)``, so
+    each class owns a substream.  Returns the stacked rows and one label per row.
+    """
+    parts = [
+        sample_generator(model, semantics[cls], n, child_seed(seed, *stream, i))
+        for i, (cls, n) in enumerate(counts.items())
+    ]
+    labels = [cls for cls, n in counts.items() for _ in range(n)]
+    return np.concatenate(parts), labels
+
+
 # ---------------------------------------------------------------------------
 # softmax classifier
 
@@ -390,8 +401,7 @@ def predict_proba(model: Classifier, features: np.ndarray) -> np.ndarray:
 
 def predict_classifier(model: Classifier, x: np.ndarray) -> str:
     """Highest-logit class; ties break on class id (classes are sorted)."""
-    logits = model.logits(x)
-    return model.classes[int(np.argmax(logits[0]))]
+    return predict_classifier_batch(model, np.reshape(x, (1, -1)))[0]
 
 
 def predict_classifier_batch(model: Classifier, features: np.ndarray) -> list[str]:

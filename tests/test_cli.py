@@ -5,12 +5,39 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import hardboost
 from hardboost import hars as hars_module
 from hardboost.cli import dispatch, load_predictions
-from hardboost.config import load_run_config, parse_run_config
+from hardboost.config import RunConfig, load_run_config, parse_run_config
 from hardboost.data import ConfigError
+from hardboost.models import ClassifierConfig
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+RUN_CONFIGS = st.builds(
+    RunConfig,
+    hard_count=st.integers(),
+    iterations=st.integers(),
+    alpha=_FLOATS,
+    beta=_FLOATS,
+    support_count=st.integers(),
+    n_unseen=st.integers(),
+    seed=st.integers(min_value=0),
+    metric=st.sampled_from(["ss", "cf", "pncf"]),
+    base_model=st.sampled_from(["embedding", "generative"]),
+    selection=st.sampled_from(["cfbs", "rs"]),
+    label_space=st.sampled_from(["unseen", "all"]),
+    ridge=_FLOATS,
+    classifier=st.builds(
+        ClassifierConfig,
+        learning_rate=_FLOATS,
+        epochs=st.integers(),
+        batch_size=st.none() | st.integers(),
+        seed=st.integers(min_value=0),
+    ),
+)
 
 
 def write_config(path, **overrides):
@@ -201,8 +228,7 @@ class TestEvalAndAnalyze:
 
 
 class TestSweep:
-    def test_grid_rows_and_baseline_column(self, data_dir, tmp_path, monkeypatch):
-        monkeypatch.setenv("HARDBOOST_THREADS", "2")
+    def test_grid_rows_and_baseline_column(self, data_dir, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", alpha=0.0)
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"beta": [1.0, 2.0, 3.0]}))
@@ -308,6 +334,48 @@ class TestRunConfigFile:
         a = parse_run_config({"K": 3, "T": 5})
         b = parse_run_config({"T": 5, "K": 3})
         assert a.digest() == b.digest()
+
+    def test_default_digest_is_pinned(self):
+        # manifest config_hash values of earlier runs depend on this
+        expected = "2854b3d3f616816182d57631b7305f8ba8c2101ab2efe070ba7b1fe81df88689"
+        assert RunConfig().digest() == expected
+        assert parse_run_config({}).digest() == expected
+
+    @given(RUN_CONFIGS, st.integers(min_value=0))
+    def test_json_round_trip_and_with_seed(self, config, seed):
+        assert parse_run_config(json.loads(json.dumps(config.to_json_dict()))) == config
+        before = config.to_json_dict()
+        after = config.with_seed(seed).to_json_dict()
+        assert after.pop("seed") == seed
+        before.pop("seed")
+        assert after == before
+
+    @pytest.mark.parametrize(
+        "obj, key",
+        [
+            ({"K": 2.7}, "K"),
+            ({"K": 2.0}, "K"),
+            ({"T": True}, "T"),
+            ({"N_u": 99.9}, "N_u"),
+            ({"seed": "5"}, "seed"),
+            ({"alpha": True}, "alpha"),
+            ({"ridge": "0.1"}, "ridge"),
+            ({"metric": 1}, "metric"),
+            ({"selection": "bogus"}, "selection"),
+            ({"label_space": "nope"}, "label_space"),
+            ({"classifier": {"epochs": 3.5}}, "classifier.epochs"),
+            ({"classifier": {"batch_size": False}}, "classifier.batch_size"),
+            ({"classifier": {"learning_rate": None}}, "classifier.learning_rate"),
+        ],
+    )
+    def test_values_are_never_reinterpreted(self, obj, key):
+        with pytest.raises(ConfigError, match=rf"config: {key} must be"):
+            parse_run_config(obj)
+
+    def test_numbers_keep_their_meaning(self):
+        config = parse_run_config({"alpha": 1, "classifier": {"batch_size": None}})
+        assert config.alpha == 1.0 and isinstance(config.alpha, float)
+        assert config.classifier.batch_size is None
 
 
 class TestPredictionsFile:

@@ -11,6 +11,7 @@ from hardboost.evaluation import (
     confusion_matrix,
     contrastive_analysis,
     evaluate,
+    evaluate_if_labeled,
     harmonic_mean,
     identification_quality,
 )
@@ -81,6 +82,21 @@ class TestEvaluate:
     def test_unknown_label_names_row(self):
         with pytest.raises(ValueError, match="row 1"):
             evaluate(["u1", "zz"], ["u1", "u2"], SPLIT)
+
+
+def test_evaluate_if_labeled(standard_benchmark):
+    import dataclasses
+
+    from hardboost.data import UNLABELED, FeatureTable
+
+    bundle, _, _ = standard_benchmark
+    preds = sorted(bundle.split.unseen)[:1] * bundle.test_unseen.n
+    expected = evaluate(preds, bundle.test_unseen.labels, bundle.split)
+    assert evaluate_if_labeled(bundle, preds).to_json_dict() == expected.to_json_dict()
+    unlabeled = FeatureTable(
+        features=bundle.test_unseen.features, labels=(UNLABELED,) * bundle.test_unseen.n
+    )
+    assert evaluate_if_labeled(dataclasses.replace(bundle, test_unseen=unlabeled), preds) is None
 
 
 class TestConfusionMatrix:

@@ -25,8 +25,10 @@ from hardboost.models import (
     predict_classifier_batch,
     predict_proba,
     sample_generator,
+    sample_per_class,
     save_model,
 )
+from hardboost.rng import child_seed
 
 
 def table(features, labels):
@@ -256,6 +258,32 @@ class TestSampleGenerator:
         assert (np.abs(samples.mean(axis=0) - model.class_mean(sem["a"])) < bound).all()
 
 
+class TestSamplePerClass:
+    def model(self):
+        return TestSampleGenerator().model()
+
+    def test_class_i_draws_its_own_substream_in_dict_order(self):
+        model, sem = self.model()
+        counts = {"b": 3, "a": 2}  # not sorted: the dict's order rules
+        feats, labels = sample_per_class(model, sem, counts, 9, "stream", 4)
+        assert labels == ["b", "b", "b", "a", "a"]
+        expected = [
+            sample_generator(model, sem[cls], n, child_seed(9, "stream", 4, i))
+            for i, (cls, n) in enumerate(counts.items())
+        ]
+        np.testing.assert_array_equal(feats, np.concatenate(expected))
+
+    def test_zero_count_gives_no_rows(self):
+        model, sem = self.model()
+        feats, labels = sample_per_class(model, sem, {"a": 0, "b": 2}, 1, "s")
+        assert labels == ["b", "b"]
+        np.testing.assert_array_equal(
+            feats, sample_generator(model, sem["b"], 2, child_seed(1, "s", 1))
+        )
+        feats, labels = sample_per_class(model, sem, {"a": 0}, 1, "s")
+        assert feats.shape == (0, 2) and labels == []
+
+
 class TestClassifier:
     def test_separable_problem_reaches_full_accuracy(self, rng):
         a = rng.normal(size=(20, 2)) + [4.0, 0.0]
@@ -451,5 +479,5 @@ def test_fit_embedding_rows_matches_class_mean_fit(rng):
     train = table(targets, [f"c{i}" for i in range(6)])
     by_class = fit_embedding(train, sem_table, ridge=0.1)
     by_rows = fit_embedding_rows(sems, targets.astype(np.float64), ridge=0.1)
-    np.testing.assert_allclose(by_rows.weights, by_class.weights, atol=1e-12)
-    np.testing.assert_allclose(by_rows.bias, by_class.bias, atol=1e-12)
+    np.testing.assert_array_equal(by_rows.weights, by_class.weights)
+    np.testing.assert_array_equal(by_rows.bias, by_class.bias)
