@@ -110,8 +110,8 @@ def _field_args(cls, obj: dict, source: str, prefix: str = "") -> dict:
 def parse_run_config(obj: dict, source: str = "config") -> RunConfig:
     if not isinstance(obj, dict):
         raise ConfigError(f"{source}: expected a JSON object")
-    clf_obj = obj.get("classifier", {})
     top = _field_args(RunConfig, {k: v for k, v in obj.items() if k != "classifier"}, source)
+    clf_obj = obj.get("classifier", {})
     if not isinstance(clf_obj, dict):
         raise ConfigError(f"{source}: classifier must be an object")
     classifier = ClassifierConfig(**_field_args(ClassifierConfig, clf_obj, source, "classifier."))

@@ -12,24 +12,26 @@ import pytest
 
 from hardboost.cli import dispatch
 
-_HARST = {"K": 3, "T": 2, "N_u": 15, "seed": 5, "metric": "cf",
-          "base_model": "generative", "classifier": {"epochs": 30}}
+# mini-batches, so the outputs depend on each classifier's seed
+_CLF = {"epochs": 10, "batch_size": 32}
+_HARST = {"K": 3, "T": 2, "N_u": 40, "seed": 5, "metric": "cf",
+          "base_model": "generative", "classifier": _CLF}
 
 RUNS = {
     "harst-generative-unseen": (
         ["harst"], {**_HARST, "label_space": "unseen"},
-        {"predictions.csv": "daa33f8e8bcebd116e9496b4abb7ca70c874d5a650e020e7982a061d91351d98",
-         "trace.json": "04013871322534ce9a3ad39aa0d8c5c307c848015b6ed62dad21ad26c84b001f"},
+        {"predictions.csv": "ceaccfde4e3090ca862d29ccc7d5296f69c7c7c699c8fa881a1394b2a2d44e9d",
+         "trace.json": "738152b875a498b476d7ca6248bda1ee7ccdc6f136aa7b28450075f3094df95a"},
     ),
     "harst-generative-all": (
         ["harst"], {**_HARST, "label_space": "all"},
-        {"predictions.csv": "b7659a16a2bec70b015be5975e88752332f3d5bed26489e300e21f2bdfecf53f",
-         "trace.json": "1434c7cb609d82db1aa3fc36f6c8f79350de738b2bdb6bd605a898794122e3e4"},
+        {"predictions.csv": "1c5e49cca65d039746fc47b7edac5e9a7cb48e73fbfea08b47d58df15b87d6e3",
+         "trace.json": "8931271af80fee9ff9363ee29a5ae4c6a62cec120d663c0b981b3b2ba1e8a858"},
     ),
     "hars": (
-        ["hars"], {"K": 4, "N_u": 20, "seed": 5, "classifier": {"epochs": 30}},
-        {"predictions.csv": "0bc5b550dbf44247347bcd95cb5fb83d49177390665e3f414e3098f89f9f65c9",
-         "report.json": "2bcb49c8379e0fbc002c06ac6c4705daae0394cc3c574c3f16832c6d48dfef5b"},
+        ["hars"], {"K": 4, "N_u": 20, "seed": 5, "classifier": _CLF},
+        {"predictions.csv": "fc22b03c2471caab330b31ac5dbbab70d93237e61cc0ccf5d7b5ebf15826f478",
+         "report.json": "677bb0d4ee37b5e25d364b4bb59d7dc0063913d1549a1bf81af6fea7ac540d87"},
     ),
 }
 
