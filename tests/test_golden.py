@@ -1,12 +1,15 @@
-"""Pinned output digests for CLI paths the benchmark does not run.
+"""Pinned output digests for CLI runs on the desk benchmark.
 
-Each case runs one command on the desk benchmark and compares the sha256 of
-its label and count outputs with the value recorded when the case was
-added.  A changed digest means changed output bytes, which must be declared.
+The benchmark checks its own outputs only for self-consistency, never
+against pinned bytes, so these cases are the byte-level guard.  Each runs one
+command and compares the sha256 of its label and count outputs with the
+value recorded when the case was added.  A changed digest means changed
+output bytes, which must be declared.
 """
 
 import hashlib
 import json
+import shutil
 
 import pytest
 
@@ -16,6 +19,9 @@ from hardboost.cli import dispatch
 _CLF = {"epochs": 10, "batch_size": 32}
 _HARST = {"K": 3, "T": 2, "N_u": 40, "seed": 5, "metric": "cf",
           "base_model": "generative", "classifier": _CLF}
+_EMBEDDING = {"K": 3, "T": 3, "seed": 5, "base_model": "embedding"}
+# run on a copy of the bundle without priors.json, so the priors are estimated
+NO_PRIORS = {"harst-embedding-pncf-estimated-priors"}
 
 RUNS = {
     "harst-generative-unseen": (
@@ -27,6 +33,21 @@ RUNS = {
         ["harst"], {**_HARST, "label_space": "all"},
         {"predictions.csv": "1c5e49cca65d039746fc47b7edac5e9a7cb48e73fbfea08b47d58df15b87d6e3",
          "trace.json": "8931271af80fee9ff9363ee29a5ae4c6a62cec120d663c0b981b3b2ba1e8a858"},
+    ),
+    "harst-embedding-unseen": (
+        ["harst"], {**_EMBEDDING, "metric": "cf", "label_space": "unseen"},
+        {"predictions.csv": "c6b0e2fc69fc975d257105f3890d59b27e00beac49548a8e24e834feec1192d7",
+         "trace.json": "eeaa80286deda98c7ae8fd60702fb11d9f687daf6d1a63d118cff72060717038"},
+    ),
+    "harst-embedding-all": (
+        ["harst"], {**_EMBEDDING, "metric": "cf", "label_space": "all"},
+        {"predictions.csv": "70712c6d32c15411d2e0f02704f301d601ab0f15c4f7b2ee438eab7dbe1e48b8",
+         "trace.json": "b3e9ae6ca8ad468da134ef5a8138ab2b791d99423ea0c5a26dd337c800fab1ec"},
+    ),
+    "harst-embedding-pncf-estimated-priors": (
+        ["harst"], {**_EMBEDDING, "metric": "pncf", "label_space": "unseen"},
+        {"predictions.csv": "b66aeef1150ba8095ee1b202c2541adf8d4be553312c340f7379df27b54375a0",
+         "trace.json": "4c0e703435d8e80f1ad4875627599b8a4ef57ef942bcea55722a5be08d30ca8a"},
     ),
     "hars": (
         ["hars"], {"K": 4, "N_u": 20, "seed": 5, "classifier": _CLF},
@@ -51,6 +72,9 @@ def test_pipeline_outputs_are_pinned(name, data_dir, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "out"
+    if name in NO_PRIORS:
+        data_dir = shutil.copytree(data_dir, tmp_path / "data")
+        (data_dir / "priors.json").unlink()
     assert dispatch(
         [*command, "--data", str(data_dir), "--config", str(cfg), "--out", str(out)]
     ) == 0
