@@ -28,7 +28,7 @@ from .models import (
     ClassifierConfig,
     classify_embedding_batch,
     fit_classifier,
-    fit_embedding_rows,
+    fit_embedding_means,
     fit_generator,
     predict_classifier_batch,
     sample_per_class,
@@ -113,10 +113,10 @@ def select_cfbs(
 
     selected: list[tuple[int, str]] = []
     if quota > 0:
-        pools = {
-            cls: [i for i, l in enumerate(pseudo_labels) if l == cls]
-            for cls in report.hard
-        }
+        pools: dict[str, list[int]] = {cls: [] for cls in report.hard}
+        for i, l in enumerate(pseudo_labels):
+            if l in pools:
+                pools[l].append(i)
         for idx, cls in enumerate(report.hard):
             pool = pools[cls]
             if not pool:
@@ -136,7 +136,11 @@ def random_selection_baseline(
     pseudo_labels, total: int, seed: int, split=None
 ) -> list[tuple[int, str]]:
     """Draw ``total`` rows uniformly with replacement from the whole pool,
-    ignoring hardness.  Size-matched ablation arm for the selection step."""
+    ignoring hardness.  Size-matched ablation arm for the selection step.
+
+    With ``split`` given the pool is the rows pseudo-labeled as unseen; an
+    empty pool selects nothing and logs a warning, as an empty hard-class
+    pool does in :func:`select_cfbs`."""
     if total < 0:
         raise ValueError("total must be >= 0")
     pseudo_labels = list(pseudo_labels)
@@ -147,7 +151,10 @@ def random_selection_baseline(
     if total == 0:
         return []
     if not pool:
-        raise ValueError("cannot select from an empty pseudo-label pool")
+        warnings.warn(
+            "the pseudo-label pool is empty; selecting nothing", stacklevel=2
+        )
+        return []
     rng = substream(seed, "rs")
     return [(pool[j], pseudo_labels[pool[j]]) for j in rng.choice(len(pool), size=total, replace=True)]
 
@@ -205,13 +212,15 @@ class _BaseModel:
         return predict_classifier_batch(clf, bundle.test_unseen.features)
 
     def _fit_embedding_base(self, train: FeatureTable):
-        """Every training row enters the regression as one (semantic, visual)
-        pair, so selection counts weight the fit and pseudo-label noise costs
-        what it should."""
-        semantics = self.bundle.semantics
-        design = np.stack([semantics[l] for l in train.labels])
-        return fit_embedding_rows(
-            design, train.features.astype(np.float64), self.config.ridge
+        """Every training row counts once: each class enters the regression as
+        its mean weighted by its row count, so selection multiplicity weights
+        the fit and pseudo-label noise costs what it should."""
+        labels = sorted(set(train.labels))
+        groups = [train.rows_for(l) for l in labels]
+        means = np.stack([train.features[g].astype(np.float64).mean(axis=0) for g in groups])
+        counts = np.array([g.size for g in groups], dtype=np.float64)
+        return fit_embedding_means(
+            self.bundle.semantics.matrix(labels), means, counts, self.config.ridge
         )
 
 

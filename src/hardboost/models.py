@@ -5,7 +5,8 @@ each interface, chosen so every fit is closed-form or plain gradient descent
 and therefore exactly reproducible.
 
 * ``EmbeddingModel`` ridge-regresses class-mean visual features onto
-  semantic vectors and classifies by nearest mapped prototype.
+  semantic vectors, each class weighted by a row count (one per class in
+  :func:`fit_embedding`), and classifies by nearest mapped prototype.
 * ``GenerativeModel`` maps a semantic vector to a class mean and samples
   around it with a shared diagonal covariance.
 * ``Classifier`` is multinomial logistic regression trained by full-batch
@@ -88,26 +89,38 @@ def fit_embedding(
 ) -> EmbeddingModel:
     """Closed-form ridge fit of class-mean features on semantic vectors."""
     _, means, sem = _class_means(train, semantics)
-    return fit_embedding_rows(sem, means, ridge)
+    return fit_embedding_means(sem, means, np.ones(len(means)), ridge)
 
 
-def fit_embedding_rows(
-    sem_rows: np.ndarray, targets: np.ndarray, ridge: float = 0.0
+def fit_embedding_means(
+    sem: np.ndarray, means: np.ndarray, counts: np.ndarray, ridge: float = 0.0
 ) -> EmbeddingModel:
-    """Ridge fit over explicit (semantic vector, feature vector) rows.
+    """Ridge fit of class-mean features on class semantic vectors, class ``k``
+    weighted by ``counts[k]``.
 
-    :func:`fit_embedding` is this fit over one row per class, its mean;
-    here repeated rows weight the fit by their multiplicity.
+    This equals the fit over ``counts[k]`` (semantic vector, row) pairs per
+    class whose rows average to ``means[k]``: centred on the count-weighted
+    means, each class enters the normal equations ``counts[k]`` times, so
+    its centred rows are scaled by ``sqrt(counts[k])`` instead of repeated.
+    :func:`fit_embedding` is the case of one count per class.
     """
     if ridge < 0:
         raise ValueError("ridge must be >= 0")
-    sem_rows = np.asarray(sem_rows, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    if sem_rows.shape[0] != targets.shape[0] or sem_rows.shape[0] == 0:
-        raise ValueError("need one semantic row per target row")
-    sem_center = sem_rows.mean(axis=0)
-    target_center = targets.mean(axis=0)
-    weights = _ridge_solve(sem_rows - sem_center, targets - target_center, ridge)
+    sem = np.asarray(sem, dtype=np.float64)
+    means = np.asarray(means, dtype=np.float64)
+    counts = np.asarray(counts, dtype=np.float64)
+    if counts.ndim != 1 or not 0 < counts.size == sem.shape[0] == means.shape[0]:
+        raise ValueError("need one semantic row and one count per class mean")
+    if not (np.isfinite(counts).all() and (counts > 0).all()):
+        raise ValueError("class counts must be finite and > 0")
+    weight = counts[:, None]
+    total = counts.sum()
+    sem_center = (sem * weight).sum(axis=0) / total
+    target_center = (means * weight).sum(axis=0) / total
+    scale = np.sqrt(weight)
+    weights = _ridge_solve(
+        (sem - sem_center) * scale, (means - target_center) * scale, ridge
+    )
     bias = target_center - weights @ sem_center
     return EmbeddingModel(weights=weights, bias=bias, ridge=float(ridge))
 

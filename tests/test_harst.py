@@ -103,9 +103,12 @@ class TestRandomSelection:
     def test_zero_total(self):
         assert random_selection_baseline(["c1"], 0, seed=0) == []
 
-    def test_empty_pool_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            random_selection_baseline([], 3, seed=0)
+    def test_empty_pool_warns_and_selects_nothing(self):
+        with pytest.warns(UserWarning, match="empty"):
+            assert random_selection_baseline([], 3, seed=0) == []
+        split = ClassSplit(seen=frozenset({"s1"}), unseen=frozenset({"u1"}))
+        with pytest.warns(UserWarning, match="empty"):
+            assert random_selection_baseline(["s1", "s1"], 3, seed=0, split=split) == []
 
     def test_size_matches_request(self):
         selected = random_selection_baseline(self.pseudo(), 12, seed=2)
@@ -272,6 +275,20 @@ class TestRunHarst:
         # selection pools stay restricted to unseen-labeled rows
         for rec in trace.records:
             assert set(rec.selected_per_class) <= bundle.split.unseen
+
+    def test_random_selection_finishes_when_no_pseudo_label_is_unseen(
+        self, standard_benchmark
+    ):
+        # every test row is predicted as a seen class, so both pools are empty
+        bundle, _, _ = standard_benchmark
+        cfg = self.config(
+            iterations=2, hard_count=2, base="generative", selection="rs",
+            label_space="all", n_unseen=20, classifier=ClassifierConfig(epochs=40),
+        )
+        with pytest.warns(UserWarning, match="pseudo-label pool is empty"):
+            preds, trace = run_harst(bundle, cfg)
+        assert len(preds) == bundle.test_unseen.n
+        assert [rec.selected_per_class for rec in trace.records] == [{}, {}]
 
     def test_self_training_improves_in_the_mean(self):
         gains = []

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hardboost.data import FeatureTable, SemanticTable
 from hardboost.models import (
     COVARIANCE_FLOOR,
+    _ridge_solve,
     Classifier,
     ClassifierConfig,
     EmbeddingModel,
@@ -17,7 +18,7 @@ from hardboost.models import (
     cross_entropy_and_grad,
     fit_classifier,
     fit_embedding,
-    fit_embedding_rows,
+    fit_embedding_means,
     fit_generator,
     load_model,
     nearest_rows,
@@ -33,6 +34,18 @@ from hardboost.rng import child_seed
 
 def table(features, labels):
     return FeatureTable(features=np.asarray(features, dtype=np.float32), labels=tuple(labels))
+
+
+def fit_embedding_rows(sem_rows, targets, ridge=0.0):
+    """Row-level reference: one (semantic vector, feature vector) pair per row,
+    so repeated rows weight the fit by their multiplicity."""
+    sem_rows = np.asarray(sem_rows, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    sem_center = sem_rows.mean(axis=0)
+    target_center = targets.mean(axis=0)
+    weights = _ridge_solve(sem_rows - sem_center, targets - target_center, ridge)
+    bias = target_center - weights @ sem_center
+    return EmbeddingModel(weights=weights, bias=bias, ridge=float(ridge))
 
 
 class TestFitEmbedding:
@@ -472,12 +485,50 @@ def test_relabeling_permutation_invariance(rng):
 
 
 def test_fit_embedding_rows_matches_class_mean_fit(rng):
-    # with one row per class the two fits are the same closed form
+    # with one row per class and unit counts all three are the same arithmetic
     sems = rng.normal(size=(6, 3))
     targets = rng.normal(size=(6, 4)).astype(np.float32)
     sem_table = SemanticTable(vectors={f"c{i}": sems[i] for i in range(6)})
     train = table(targets, [f"c{i}" for i in range(6)])
     by_class = fit_embedding(train, sem_table, ridge=0.1)
+    by_means = fit_embedding_means(sems, targets.astype(np.float64), np.ones(6), ridge=0.1)
     by_rows = fit_embedding_rows(sems, targets.astype(np.float64), ridge=0.1)
-    np.testing.assert_array_equal(by_rows.weights, by_class.weights)
-    np.testing.assert_array_equal(by_rows.bias, by_class.bias)
+    for model in (by_means, by_rows):
+        np.testing.assert_array_equal(model.weights, by_class.weights)
+        np.testing.assert_array_equal(model.bias, by_class.bias)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    # two or more classes: with one, the slope is exactly zero and only
+    # rounding noise is left to compare
+    counts=st.lists(st.integers(1, 6), min_size=2, max_size=7),
+    s=st.integers(1, 5),
+    v=st.integers(1, 4),
+    ridge=st.floats(1e-3, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_count_weighted_fit_matches_row_level_fit(counts, s, v, ridge, seed):
+    """Class means weighted by row count give the row-level ridge fit."""
+    rng = np.random.default_rng(seed)
+    sems = rng.normal(size=(len(counts), s))
+    rows = [rng.normal(size=(n, v)) + rng.normal(size=v) for n in counts]
+    means = np.stack([r.mean(axis=0) for r in rows])
+    weighted = fit_embedding_means(sems, means, np.array(counts), ridge)
+    reference = fit_embedding_rows(
+        np.repeat(sems, counts, axis=0), np.concatenate(rows), ridge
+    )
+    # the float order differs, so entries near zero are held to 1e-9 of the
+    # scale of their terms rather than of themselves
+    w_scale = np.abs(reference.weights).max()
+    np.testing.assert_allclose(weighted.weights, reference.weights, rtol=1e-9, atol=1e-9 * w_scale)
+    b_scale = np.abs(means).max()
+    np.testing.assert_allclose(weighted.bias, reference.bias, rtol=1e-9, atol=1e-9 * b_scale)
+
+
+@pytest.mark.parametrize(
+    "counts", [[1.0, 0.0], [1.0, -2.0], [1.0, np.nan], [1.0], [[1.0, 1.0]]]
+)
+def test_fit_embedding_means_rejects_bad_counts(counts):
+    with pytest.raises(ValueError, match="count"):
+        fit_embedding_means(np.eye(2), np.ones((2, 3)), np.array(counts), ridge=0.1)
