@@ -151,9 +151,7 @@ def random_selection_baseline(
     if total == 0:
         return []
     if not pool:
-        warnings.warn(
-            "the pseudo-label pool is empty; selecting nothing", stacklevel=2
-        )
+        warnings.warn("the pseudo-label pool is empty; selecting nothing", stacklevel=2)
         return []
     rng = substream(seed, "rs")
     return [(pool[j], pseudo_labels[pool[j]]) for j in rng.choice(len(pool), size=total, replace=True)]
