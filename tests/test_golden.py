@@ -1,10 +1,11 @@
-"""Pinned output digests for CLI runs on the desk benchmark.
+"""Pinned output digests for pipeline runs on the desk benchmark.
 
 The benchmark checks its own outputs only for self-consistency, never
 against pinned bytes, so these cases are the byte-level guard.  Each runs one
-command and compares the sha256 of its label and count outputs with the
-value recorded when the case was added.  A changed digest means changed
-output bytes, which must be declared.
+CLI command, or the generative baseline, which has no command, and compares
+the sha256 of its label and count outputs with the value recorded when the
+case was added.  A changed digest means changed output bytes, which must be
+declared.
 """
 
 import hashlib
@@ -14,6 +15,9 @@ import shutil
 import pytest
 
 from hardboost.cli import dispatch
+from hardboost.data import load_bundle
+from hardboost.hars import HarsConfig, run_generative_baseline
+from hardboost.models import ClassifierConfig
 
 # mini-batches, so the outputs depend on each classifier's seed
 _CLF = {"epochs": 10, "batch_size": 32}
@@ -56,6 +60,9 @@ RUNS = {
     ),
 }
 
+# batch 8, not 32: at 32 the baseline's predictions do not depend on its classifier seed
+BASELINE = "2117b778ed7a86c45905d5ba8d183f4b65f80cfb072f5caabe0de8d3625c61c9"
+
 CONTRASTIVE = {
     "inductive": "855f564cfa6e44b579a097c5c5b5f15baf349d52e5bcb5c46fab4838e99b5d11",
     "transductive": "89a0c33bfb469ecf1c453dcd3b34b02758b2b0f43b66177a5073f0ae29d4a889",
@@ -89,3 +96,13 @@ def test_contrastive_outputs_are_pinned(setting, data_dir, tmp_path):
          "--setting", setting, "--n", "6", "--seed", "3", "--out", str(out)]
     ) == 0
     assert _sha(out / "contrastive.json") == CONTRASTIVE[setting]
+
+
+def test_generative_baseline_outputs_are_pinned(data_dir):
+    config = HarsConfig(
+        hard_count=4, n_unseen=20, seed=5,
+        classifier=ClassifierConfig(epochs=10, batch_size=8),
+    )
+    preds, report = run_generative_baseline(load_bundle(data_dir), config)
+    digest = hashlib.sha256(("\n".join(preds) + repr(report.acc_u)).encode()).hexdigest()
+    assert digest == BASELINE
