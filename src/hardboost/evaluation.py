@@ -408,7 +408,7 @@ def contrastive_analysis(
         "uniform": {c: round(n / 2) for c in classes},
     }
     test_feats = bundle.test_unseen.features
-    by_class = {c: [i for i, t in enumerate(truths) if t == c] for c in classes}
+    by_class = {c: bundle.test_unseen.rows_for(c) for c in classes}
     for name in GROUP_NAMES:
         extra_rows = []
         extra_labels = []
@@ -417,7 +417,7 @@ def contrastive_analysis(
             if count == 0:
                 continue
             pool = by_class[cls]
-            if not pool:
+            if pool.size == 0:
                 raise ValueError(f"class {cls!r} has no test rows to draw from")
             rng = np.random.default_rng(child_seed(seed, "group-real", name, idx))
             if count <= len(pool):
@@ -428,7 +428,7 @@ def contrastive_analysis(
                     stacklevel=2,
                 )
                 chosen = rng.choice(len(pool), size=count, replace=True)
-            extra_rows.extend(pool[j] for j in chosen)
+            extra_rows.extend(pool[chosen])
             extra_labels.extend([cls] * count)
         merged = FeatureTable(
             features=np.concatenate(

@@ -222,35 +222,49 @@ def synthesize_unseen(
     )
 
 
-def run_generative_baseline(
-    bundle: DatasetBundle, config: HarsConfig
+def _generate_and_classify(
+    bundle: DatasetBundle, config: HarsConfig, hard, interp: SynthSet | None
 ) -> tuple[list[str], EvalReport | None]:
-    """Vanilla generate-then-classify pipeline without any hard-class logic."""
-    bundle = _stage("validate", validate_bundle, bundle)
-    gen = _stage("fit-generator", fit_generator, bundle.train_seen, bundle.semantics, config.ridge)
+    """Fit the generator on seen plus ``interp`` rows, oversample ``hard``, classify."""
+    gen = _stage(
+        "fit-generator",
+        fit_generator,
+        bundle.train_seen,
+        bundle.semantics,
+        config.ridge,
+        interp,
+    )
     synth = _stage(
         "synthesize-unseen",
         synthesize_unseen,
         gen,
         bundle.semantics,
         bundle.split,
-        [],
+        hard,
         config.n_unseen,
-        1.0,
+        config.beta,
         config.seed,
     )
-    classes = sorted(bundle.split.unseen)
     clf = _stage(
         "fit-classifier",
         fit_classifier,
         synth.features,
         list(synth.labels),
-        classes,
+        bundle.split.unseen,
         replace(config.classifier, seed=child_seed(config.seed, "classifier")),
     )
     preds = _stage("predict", predict_classifier_batch, clf, bundle.test_unseen.features)
     report = _stage("evaluate", evaluate_if_labeled, bundle, preds)
     return preds, report
+
+
+def run_generative_baseline(
+    bundle: DatasetBundle, config: HarsConfig
+) -> tuple[list[str], EvalReport | None]:
+    """Vanilla generate-then-classify pipeline: :func:`run_hars` without the
+    hard-class stages, so ``hard_count``, ``support_count``, ``alpha`` and ``beta`` go unused."""
+    bundle = _stage("validate", validate_bundle, bundle)
+    return _generate_and_classify(bundle, config, (), None)
 
 
 def run_hars(
@@ -282,34 +296,5 @@ def run_hars(
         config.support_count,
         config.seed,
     )
-    gen = _stage(
-        "fit-generator",
-        fit_generator,
-        bundle.train_seen,
-        bundle.semantics,
-        config.ridge,
-        interp,
-    )
-    synth = _stage(
-        "synthesize-unseen",
-        synthesize_unseen,
-        gen,
-        bundle.semantics,
-        bundle.split,
-        report.hard,
-        config.n_unseen,
-        config.beta,
-        config.seed,
-    )
-    classes = sorted(bundle.split.unseen)
-    clf = _stage(
-        "fit-classifier",
-        fit_classifier,
-        synth.features,
-        list(synth.labels),
-        classes,
-        replace(config.classifier, seed=child_seed(config.seed, "classifier")),
-    )
-    preds = _stage("predict", predict_classifier_batch, clf, bundle.test_unseen.features)
-    eval_report = _stage("evaluate", evaluate_if_labeled, bundle, preds)
+    preds, eval_report = _generate_and_classify(bundle, config, report.hard, interp)
     return preds, report, eval_report

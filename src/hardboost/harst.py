@@ -276,6 +276,10 @@ def run_harst(
     current = initial
 
     records: list[IterationRecord] = []
+
+    def trace() -> IterationTrace:
+        return IterationTrace(tuple(initial), initial_eval, tuple(records))
+
     try:
         for t in range(1, config.iterations + 1):
             quota = selection_quota(t, m, config.iterations, config.hard_count)
@@ -316,15 +320,6 @@ def run_harst(
             )
     except Exception as exc:
         # keep the completed iterations inspectable on the exception
-        exc.partial_trace = IterationTrace(
-            initial_pseudo_labels=tuple(initial),
-            initial_evaluation=initial_eval,
-            records=tuple(records),
-        )
+        exc.partial_trace = trace()
         raise
-    trace = IterationTrace(
-        initial_pseudo_labels=tuple(initial),
-        initial_evaluation=initial_eval,
-        records=tuple(records),
-    )
-    return current, trace
+    return current, trace()

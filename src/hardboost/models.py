@@ -15,22 +15,14 @@ and therefore exactly reproducible.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .data import FeatureTable, SemanticTable, atomic_write_bytes
+from .data import FeatureTable, SemanticTable
 from .rng import child_seed
 
 COVARIANCE_FLOOR = 1e-6
-
-_MODEL_MAGIC = b"ZSM1"
-_MODEL_VERSION = 1
-_KIND_EMBEDDING = 1
-_KIND_GENERATIVE = 2
-_KIND_CLASSIFIER = 3
 
 
 class SingularFitError(ValueError):
@@ -421,96 +413,3 @@ def predict_classifier_batch(model: Classifier, features: np.ndarray) -> list[st
     picks = model.logits(features).argmax(axis=1)
     return [model.classes[i] for i in picks]
 
-
-# ---------------------------------------------------------------------------
-# checkpoint blobs
-
-
-def _pack_array(arr: np.ndarray) -> bytes:
-    return arr.astype("<f8", copy=False).tobytes(order="C")
-
-
-def save_model(model, path) -> None:
-    """Checkpoint a fitted model (magic ``ZSM1``, little-endian float64)."""
-    out = [_MODEL_MAGIC, struct.pack("<I", _MODEL_VERSION)]
-    if isinstance(model, EmbeddingModel):
-        v, s = model.weights.shape
-        out.append(struct.pack("<BIId", _KIND_EMBEDDING, v, s, model.ridge))
-        out.append(_pack_array(model.weights))
-        out.append(_pack_array(model.bias))
-    elif isinstance(model, GenerativeModel):
-        v, s = model.coeff.shape
-        out.append(struct.pack("<BIId", _KIND_GENERATIVE, v, s, model.ridge))
-        out.append(_pack_array(model.coeff))
-        out.append(_pack_array(model.covariance))
-    elif isinstance(model, Classifier):
-        c, v = model.weights.shape
-        cfg = model.config
-        out.append(
-            struct.pack(
-                "<BIIdIIQ",
-                _KIND_CLASSIFIER,
-                c,
-                v,
-                cfg.learning_rate,
-                cfg.epochs,
-                0 if cfg.batch_size is None else cfg.batch_size,
-                cfg.seed,
-            )
-        )
-        out.append(_pack_array(model.weights))
-        out.append(_pack_array(model.bias))
-        block = "\n".join(model.classes).encode("utf-8")
-        out.append(struct.pack("<I", len(block)) + block)
-    else:
-        raise TypeError(f"cannot serialize {type(model).__name__}")
-    atomic_write_bytes(path, b"".join(out))
-
-
-def load_model(path):
-    """Load a checkpoint written by :func:`save_model`.
-
-    Classifier loss history is not checkpointed; a loaded classifier has an
-    empty history but identical predictions.
-    """
-    raw = Path(path).read_bytes()
-    if raw[:4] != _MODEL_MAGIC:
-        raise ValueError(f"{path}: missing {_MODEL_MAGIC!r} magic header")
-    (version,) = struct.unpack_from("<I", raw, 4)
-    if version != _MODEL_VERSION:
-        raise ValueError(f"{path}: unsupported model version {version}")
-    kind = raw[8]
-    offset = 9
-    if kind in (_KIND_EMBEDDING, _KIND_GENERATIVE):
-        v, s, ridge = struct.unpack_from("<IId", raw, offset)
-        offset += 16
-        first = np.frombuffer(raw, dtype="<f8", count=v * s, offset=offset).reshape(v, s)
-        offset += v * s * 8
-        second = np.frombuffer(raw, dtype="<f8", count=v, offset=offset)
-        if kind == _KIND_EMBEDDING:
-            return EmbeddingModel(weights=first.copy(), bias=second.copy(), ridge=ridge)
-        return GenerativeModel(coeff=first.copy(), covariance=second.copy(), ridge=ridge)
-    if kind == _KIND_CLASSIFIER:
-        c, v, lr, epochs, batch, seed = struct.unpack_from("<IIdIIQ", raw, offset)
-        offset += 32
-        weights = np.frombuffer(raw, dtype="<f8", count=c * v, offset=offset).reshape(c, v)
-        offset += c * v * 8
-        bias = np.frombuffer(raw, dtype="<f8", count=c, offset=offset)
-        offset += c * 8
-        (block_len,) = struct.unpack_from("<I", raw, offset)
-        offset += 4
-        classes = raw[offset : offset + block_len].decode("utf-8").split("\n")
-        if len(classes) != c:
-            raise ValueError(f"{path}: {len(classes)} class names for {c} classes")
-        return Classifier(
-            classes=tuple(classes),
-            weights=weights.copy(),
-            bias=bias.copy(),
-            config=ClassifierConfig(
-                learning_rate=lr,
-                epochs=epochs,
-                batch_size=None if batch == 0 else batch,
-                seed=seed,
-            ),
-        )
-    raise ValueError(f"{path}: unknown model kind {kind}")

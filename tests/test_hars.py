@@ -210,11 +210,18 @@ class TestRunHars:
         with pytest.raises(ValueError, match="hard_count"):
             run_hars(bundle, self.config(hard_count=9))
 
-    def test_failures_name_the_stage(self, standard_benchmark):
+    def test_baseline_ignores_hard_count(self, standard_benchmark):
+        bundle, _, _ = standard_benchmark
+        preds, report = run_generative_baseline(bundle, self.config(hard_count=9))
+        assert len(preds) == bundle.test_unseen.n
+        assert report is not None
+
+    @pytest.mark.parametrize("run", [run_hars, run_generative_baseline])
+    def test_failures_name_the_stage(self, standard_benchmark, run):
         bundle, _, _ = standard_benchmark
         bad = self.config(classifier=ClassifierConfig(learning_rate=float("nan")))
         with pytest.raises(PipelineError, match="fit-classifier"):
-            run_hars(bundle, bad)
+            run(bundle, bad)
 
     def test_improves_over_baseline_in_the_mean(self):
         diffs = []

@@ -20,14 +20,12 @@ from hardboost.models import (
     fit_embedding,
     fit_embedding_means,
     fit_generator,
-    load_model,
     nearest_rows,
     predict_classifier,
     predict_classifier_batch,
     predict_proba,
     sample_generator,
     sample_per_class,
-    save_model,
 )
 from hardboost.rng import child_seed
 
@@ -419,43 +417,6 @@ class TestPredictClassifier:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             predict_classifier(self.model(), [1.0, 2.0, 3.0])
-
-
-class TestCheckpoints:
-    def test_embedding_round_trip(self, tmp_path, rng):
-        train = table(rng.normal(size=(10, 3)), [f"c{i % 2}" for i in range(10)])
-        sem = SemanticTable(vectors={"c0": [1.0, 0.0], "c1": [0.0, 1.0]})
-        model = fit_embedding(train, sem, ridge=0.2)
-        save_model(model, tmp_path / "m.zsm")
-        loaded = load_model(tmp_path / "m.zsm")
-        np.testing.assert_array_equal(loaded.weights, model.weights)
-        np.testing.assert_array_equal(loaded.bias, model.bias)
-        assert loaded.ridge == model.ridge
-
-    def test_generator_round_trip(self, tmp_path, rng):
-        train = table(rng.normal(size=(10, 3)), [f"c{i % 2}" for i in range(10)])
-        sem = SemanticTable(vectors={"c0": [1.0, 0.0], "c1": [0.0, 1.0]})
-        model = fit_generator(train, sem, ridge=0.3)
-        save_model(model, tmp_path / "g.zsm")
-        loaded = load_model(tmp_path / "g.zsm")
-        np.testing.assert_array_equal(loaded.coeff, model.coeff)
-        np.testing.assert_array_equal(loaded.covariance, model.covariance)
-
-    def test_classifier_round_trip_preserves_predictions(self, tmp_path, rng):
-        feats = rng.normal(size=(20, 3))
-        labels = [f"class-{i % 3}" for i in range(20)]
-        model = fit_classifier(feats, labels, config=ClassifierConfig(epochs=50, seed=9))
-        save_model(model, tmp_path / "c.zsm")
-        loaded = load_model(tmp_path / "c.zsm")
-        assert loaded.classes == model.classes
-        assert loaded.config == model.config
-        probe = rng.normal(size=(30, 3))
-        assert predict_classifier_batch(loaded, probe) == predict_classifier_batch(model, probe)
-
-    def test_bad_magic(self, tmp_path):
-        (tmp_path / "bad.zsm").write_bytes(b"XXXX" + b"\x00" * 16)
-        with pytest.raises(ValueError, match="magic"):
-            load_model(tmp_path / "bad.zsm")
 
 
 def test_relabeling_permutation_invariance(rng):
