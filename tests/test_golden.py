@@ -4,20 +4,25 @@ The benchmark checks its own outputs only for self-consistency, never
 against pinned bytes, so these cases are the byte-level guard.  Each runs one
 CLI command, or the generative baseline, which has no command, and compares
 the sha256 of its label and count outputs with the value recorded when the
-case was added.  A changed digest means changed output bytes, which must be
-declared.
+case was added.  One more case hashes the synthesized rows themselves, the
+interpolated virtual rows with their mixing weights and sources and the
+generated unseen rows, since a small bit change there can leave every
+prediction unchanged.  A changed digest means changed output bytes, which must
+be declared.
 """
 
 import hashlib
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 from hardboost.cli import dispatch
 from hardboost.data import load_bundle
-from hardboost.hars import HarsConfig, run_generative_baseline
-from hardboost.models import ClassifierConfig
+from hardboost.hardness import HardnessReport, ss_scores
+from hardboost.hars import HarsConfig, run_generative_baseline, synthesize_hard_seen, synthesize_unseen
+from hardboost.models import ClassifierConfig, fit_generator
 
 # mini-batches, so the outputs depend on each classifier's seed
 _CLF = {"epochs": 10, "batch_size": 32}
@@ -63,6 +68,9 @@ RUNS = {
 # batch 8, not 32: at 32 the baseline's predictions do not depend on its classifier seed
 BASELINE = "2117b778ed7a86c45905d5ba8d183f4b65f80cfb072f5caabe0de8d3625c61c9"
 
+# prediction digests are argmax-robust; this pins the synthesized rows' bits
+SYNTH = "368d3ee158b9432343ae62777709129b8793865cb545e62c0b5a84f1d6655a80"
+
 CONTRASTIVE = {
     "inductive": "855f564cfa6e44b579a097c5c5b5f15baf349d52e5bcb5c46fab4838e99b5d11",
     "transductive": "89a0c33bfb469ecf1c453dcd3b34b02758b2b0f43b66177a5073f0ae29d4a889",
@@ -106,3 +114,22 @@ def test_generative_baseline_outputs_are_pinned(data_dir):
     preds, report = run_generative_baseline(load_bundle(data_dir), config)
     digest = hashlib.sha256(("\n".join(preds) + repr(report.acc_u)).encode()).hexdigest()
     assert digest == BASELINE
+
+
+def test_synthesized_rows_are_pinned(data_dir):
+    bundle = load_bundle(data_dir)
+    sem, split = bundle.semantics, bundle.split
+    hard = HardnessReport.from_scores("ss", ss_scores(sem, split), 4).hard
+    interp = synthesize_hard_seen(bundle.train_seen, sem, split, hard, 2.0, 2, seed=5)
+    gen = fit_generator(bundle.train_seen, sem, 0.1, interp)
+    synth = synthesize_unseen(gen, sem, split, hard, 20, 2.0, seed=5)
+    gamma = np.array([p.gamma for p in interp.provenance])
+    source_rows = np.array([p.source_rows for p in interp.provenance])
+    source_classes = [p.source_classes for p in interp.provenance]
+    features, labels = synth.features, synth.labels
+    digest = hashlib.sha256()
+    for array in (interp.features, interp.semantics, gamma, source_rows.astype(np.int64), features):
+        digest.update(np.ascontiguousarray(array).tobytes())
+    digest.update("\n".join(f"{a},{b}" for a, b in source_classes).encode())
+    digest.update("\n".join(labels).encode())
+    assert digest.hexdigest() == SYNTH
