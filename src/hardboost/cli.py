@@ -44,7 +44,7 @@ from .hardness import (
     ss_scores,
 )
 from .hars import PipelineError, run_hars
-from .harst import run_harst
+from .harst import METRICS, run_harst
 
 
 class _UsageError(Exception):
@@ -397,6 +397,8 @@ def _cmd_sweep(args) -> int:
     if unknown:
         raise ConfigError(f"{args.grid}: cannot sweep over {unknown[0]!r}")
 
+    if args.pipeline == "harst" and base_config.metric not in METRICS:
+        base_config.harst()  # raises: the grid cannot override the metric
     keys = sorted(grid)
     points = list(itertools.product(*(grid[k] for k in keys)))
 

@@ -67,11 +67,12 @@ class RunConfig:
         )
 
     def harst(self) -> HarstConfig:
-        metric = "cf" if self.metric == "ss" else self.metric
+        if self.metric not in METRICS:
+            raise ConfigError(f"harst takes metric {' or '.join(METRICS)}, not {self.metric!r}")
         return HarstConfig(
             iterations=self.iterations,
             hard_count=self.hard_count,
-            metric=metric,
+            metric=self.metric,
             base=self.base_model,
             selection=self.selection,
             label_space=self.label_space,

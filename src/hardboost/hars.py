@@ -2,9 +2,11 @@
 
 Hard unseen classes are identified from semantic margins, then boosted on
 two fronts: the generator is trained with extra virtual classes built by
-interpolating sample/semantic pairs between each hard class's two most
-similar seen classes, and the classifier is trained with proportionally
-more generated samples for hard classes than for easy ones.
+interpolating sample/semantic pairs between each hard class's most similar
+seen classes (its support classes, two by default), and the classifier is
+trained with proportionally more generated samples for hard classes than
+for easy ones.  The virtual rows come back as a :class:`SynthSet` of
+arrays; the generated unseen rows as plain (features, labels).
 """
 
 from __future__ import annotations
@@ -71,46 +73,31 @@ class HarsConfig:
 
 
 @dataclass(frozen=True)
-class Provenance:
-    """How one synthesized row was produced (enough to recompute it)."""
-
-    gamma: float | None
-    source_classes: tuple[str, ...]
-    source_rows: tuple[int, ...]  # training-table row indices; empty for generated rows
-
-
-@dataclass(frozen=True)
 class SynthSet:
-    """Synthesized (feature, semantic) rows with provenance tags."""
+    """Interpolated (feature, semantic) rows and how each was mixed.
+
+    Row ``i`` is ``gamma[i]`` times the training row ``source_rows[i, 0]`` of
+    class ``source_classes[i, 0]`` plus ``1 - gamma[i]`` times the row
+    ``source_rows[i, 1]`` of class ``source_classes[i, 1]``, features and
+    semantic vectors alike.
+    """
 
     features: np.ndarray  # (n, v) float64
     semantics: np.ndarray  # (n, s) float64
-    labels: tuple[str | None, ...]  # class label for generated rows, None otherwise
-    tags: tuple[str, ...]  # "hard-seen-interp" or "unseen-gen"
-    provenance: tuple[Provenance, ...]
+    gamma: np.ndarray  # (n,) float64
+    source_rows: np.ndarray  # (n, 2) training-table row indices
+    source_classes: np.ndarray  # (n, 2) class ids
 
     def __post_init__(self):
         n = self.features.shape[0]
         if not (
-            self.semantics.shape[0] == n
-            and len(self.labels) == n
-            and len(self.tags) == n
-            and len(self.provenance) == n
+            self.semantics.shape[0] == self.gamma.shape[0] == n
+            and self.source_rows.shape == self.source_classes.shape == (n, 2)
         ):
             raise ValueError("synth set fields disagree on row count")
 
     def __len__(self) -> int:
         return self.features.shape[0]
-
-    @classmethod
-    def empty(cls, v: int, s: int) -> "SynthSet":
-        return cls(
-            features=np.empty((0, v)),
-            semantics=np.empty((0, s)),
-            labels=(),
-            tags=(),
-            provenance=(),
-        )
 
 
 def _round_half_away(x: float) -> int:
@@ -149,9 +136,8 @@ def synthesize_hard_seen(
     """
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    feats = train.features.astype(np.float64)
     rows_by_class = {}
-    out_feats, out_sems, provenance = [], [], []
+    gammas, row_pairs, class_pairs = [], [], []
     for hard_idx, hard_cls in enumerate(hard):
         support = support_seen_classes(hard_cls, semantics, split, support_count)
         for cls in support:
@@ -166,29 +152,23 @@ def synthesize_hard_seen(
         rng = substream(seed, "hard-seen-interp", hard_idx)
         for _ in range(n_rows):
             i_cls, j_cls = rng.choice(len(support), size=2, replace=False)
-            cls_i, cls_j = support[i_cls], support[j_cls]
-            row_i = int(rng.choice(rows_by_class[cls_i]))
-            row_j = int(rng.choice(rows_by_class[cls_j]))
-            gamma = float(rng.uniform(0.0, 1.0))
-            out_feats.append(gamma * feats[row_i] + (1.0 - gamma) * feats[row_j])
-            out_sems.append(
-                gamma * semantics[cls_i] + (1.0 - gamma) * semantics[cls_j]
-            )
-            provenance.append(
-                Provenance(
-                    gamma=gamma,
-                    source_classes=(cls_i, cls_j),
-                    source_rows=(row_i, row_j),
-                )
-            )
-    if not out_feats:
-        return SynthSet.empty(train.dim, semantics.dim)
+            pair = (support[i_cls], support[j_cls])
+            class_pairs.append(pair)
+            row_pairs.append([int(rng.choice(rows_by_class[cls])) for cls in pair])
+            gammas.append(float(rng.uniform(0.0, 1.0)))
+    gamma = np.array(gammas, dtype=np.float64)
+    source_rows = np.array(row_pairs, dtype=np.intp).reshape(-1, 2)
+    source_classes = np.array(class_pairs, dtype=str).reshape(-1, 2)
+    feats = train.features[source_rows].astype(np.float64)
+    sems = np.array([semantics[cls] for cls in source_classes.flat], dtype=np.float64)
+    sems = sems.reshape(-1, 2, semantics.dim)
+    g = gamma[:, None]
     return SynthSet(
-        features=np.stack(out_feats),
-        semantics=np.stack(out_sems),
-        labels=(None,) * len(out_feats),
-        tags=("hard-seen-interp",) * len(out_feats),
-        provenance=tuple(provenance),
+        features=g * feats[:, 0] + (1.0 - g) * feats[:, 1],
+        semantics=g * sems[:, 0] + (1.0 - g) * sems[:, 1],
+        gamma=gamma,
+        source_rows=source_rows,
+        source_classes=source_classes,
     )
 
 
@@ -200,9 +180,10 @@ def synthesize_unseen(
     n_unseen: int,
     beta: float,
     seed: int,
-) -> SynthSet:
+) -> tuple[np.ndarray, list[str]]:
     """Generate class-conditioned rows: n_unseen per easy unseen class,
-    round(beta * n_unseen) per hard one.  Deterministic given ``seed``."""
+    round(beta * n_unseen) per hard one.  Returns the rows and one label per
+    row, unseen classes in id order.  Deterministic given ``seed``."""
     if n_unseen < 1:
         raise ValueError("n_unseen must be >= 1")
     hard = set(hard)
@@ -210,16 +191,7 @@ def synthesize_unseen(
         cls: _round_half_away(beta * n_unseen) if cls in hard else n_unseen
         for cls in sorted(split.unseen)
     }
-    features, labels = sample_per_class(gen, semantics, counts, seed, "unseen-gen")
-    return SynthSet(
-        features=features,
-        semantics=np.repeat(semantics.matrix(counts), list(counts.values()), axis=0),
-        labels=tuple(labels),
-        tags=("unseen-gen",) * len(labels),
-        provenance=tuple(
-            Provenance(gamma=None, source_classes=(cls,), source_rows=()) for cls in labels
-        ),
-    )
+    return sample_per_class(gen, semantics, counts, seed, "unseen-gen")
 
 
 def _generate_and_classify(
@@ -234,7 +206,7 @@ def _generate_and_classify(
         config.ridge,
         interp,
     )
-    synth = _stage(
+    features, labels = _stage(
         "synthesize-unseen",
         synthesize_unseen,
         gen,
@@ -248,8 +220,8 @@ def _generate_and_classify(
     clf = _stage(
         "fit-classifier",
         fit_classifier,
-        synth.features,
-        list(synth.labels),
+        features,
+        labels,
         bundle.split.unseen,
         replace(config.classifier, seed=child_seed(config.seed, "classifier")),
     )

@@ -283,13 +283,15 @@ def run_harst(
     try:
         for t in range(1, config.iterations + 1):
             quota = selection_quota(t, m, config.iterations, config.hard_count)
+            # the ``rs`` arm keeps CFBS's hardness report for the trace but draws
+            # its rows at random, so CFBS itself draws nothing there
             selected, hardness = _stage(
                 "select",
                 select_cfbs,
                 current,
                 bundle.split,
                 config.hard_count,
-                quota,
+                0 if config.selection == "rs" else quota,
                 priors,
                 config.metric,
                 child_seed(config.seed, "select", t),

@@ -45,16 +45,21 @@ def _class_means(
     return labels, np.stack(means), semantics.matrix(labels)
 
 
-def _ridge_solve(design: np.ndarray, targets: np.ndarray, ridge: float) -> np.ndarray:
-    """Least-squares map ``design -> targets``; returns (target_dim, s)."""
-    gram = design.T @ design + ridge * np.eye(design.shape[1])
-    rhs = design.T @ targets
+def _ridge_solve(
+    design: np.ndarray, targets: np.ndarray, ridge: float, rank: int | None = None
+) -> np.ndarray:
+    """Least-squares map ``design -> targets``; returns (target_dim, s).
+
+    ``rank`` bounds the rank of ``design`` (default: its row count); below
+    ``s``, ridge 0 is singular even where rounding hides it from the solver.
+    """
+    s = design.shape[1]
+    if ridge == 0 and (design.shape[0] if rank is None else rank) < s:
+        raise SingularFitError("normal equations are singular; refit with ridge > 0")
     try:
-        coeff_t = np.linalg.solve(gram, rhs)
+        coeff_t = np.linalg.solve(design.T @ design + ridge * np.eye(s), design.T @ targets)
     except np.linalg.LinAlgError:
-        raise SingularFitError(
-            "normal equations are singular; refit with ridge > 0"
-        ) from None
+        raise SingularFitError("normal equations are singular; refit with ridge > 0") from None
     if not np.isfinite(coeff_t).all():
         raise SingularFitError("normal equations are singular; refit with ridge > 0")
     return coeff_t.T
@@ -110,8 +115,9 @@ def fit_embedding_means(
     sem_center = (sem * weight).sum(axis=0) / total
     target_center = (means * weight).sum(axis=0) / total
     scale = np.sqrt(weight)
+    # centring removes one dimension: c classes span at most c - 1
     weights = _ridge_solve(
-        (sem - sem_center) * scale, (means - target_center) * scale, ridge
+        (sem - sem_center) * scale, (means - target_center) * scale, ridge, len(counts) - 1
     )
     bias = target_center - weights @ sem_center
     return EmbeddingModel(weights=weights, bias=bias, ridge=float(ridge))

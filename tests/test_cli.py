@@ -173,6 +173,16 @@ class TestPipelines:
         for record in trace["iterations"]:
             assert set(record) == {"t", "quota", "hardness", "selected_per_class", "evaluation"}
 
+    def test_harst_rejects_the_ss_metric(self, data_dir, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", T=2, base_model="embedding")  # metric "ss"
+        out = tmp_path / "run"
+        code = dispatch(
+            ["harst", "--data", str(data_dir), "--config", str(cfg), "--out", str(out)]
+        )
+        assert code == 2
+        assert "metric" in capsys.readouterr().err
+        assert not (out / "predictions.csv").exists()
+
     def test_harst_reruns_are_byte_identical(self, data_dir, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", T=2, metric="cf", base_model="embedding")
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -299,6 +309,18 @@ class TestSweep:
         else:
             assert not csv.exists()
 
+    def test_harst_sweep_rejects_the_ss_metric_before_any_point(self, data_dir, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", T=2, base_model="embedding")  # metric "ss"
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"K": [2, 3]}))
+        out = tmp_path / "sweep"
+        assert dispatch(
+            ["sweep", "--data", str(data_dir), "--config", str(cfg),
+             "--grid", str(grid), "--pipeline", "harst", "--out", str(out)]
+        ) == 2
+        assert "metric" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
     def test_unknown_grid_parameter(self, data_dir, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
         grid = tmp_path / "grid.json"
@@ -325,6 +347,11 @@ class TestRunConfigFile:
     def test_unknown_classifier_key_rejected(self):
         with pytest.raises(ConfigError, match="momentum"):
             parse_run_config({"classifier": {"momentum": 0.9}})
+
+    def test_ss_metric_is_not_a_harst_metric(self):
+        with pytest.raises(ConfigError, match="metric"):
+            parse_run_config({}).harst()
+        assert parse_run_config({"metric": "pncf"}).harst().metric == "pncf"
 
     def test_bad_metric_rejected(self):
         with pytest.raises(ConfigError, match="metric"):

@@ -122,14 +122,11 @@ def test_synthesized_rows_are_pinned(data_dir):
     hard = HardnessReport.from_scores("ss", ss_scores(sem, split), 4).hard
     interp = synthesize_hard_seen(bundle.train_seen, sem, split, hard, 2.0, 2, seed=5)
     gen = fit_generator(bundle.train_seen, sem, 0.1, interp)
-    synth = synthesize_unseen(gen, sem, split, hard, 20, 2.0, seed=5)
-    gamma = np.array([p.gamma for p in interp.provenance])
-    source_rows = np.array([p.source_rows for p in interp.provenance])
-    source_classes = [p.source_classes for p in interp.provenance]
-    features, labels = synth.features, synth.labels
+    features, labels = synthesize_unseen(gen, sem, split, hard, 20, 2.0, seed=5)
     digest = hashlib.sha256()
-    for array in (interp.features, interp.semantics, gamma, source_rows.astype(np.int64), features):
+    for array in (interp.features, interp.semantics, interp.gamma,
+                  interp.source_rows.astype(np.int64), features):
         digest.update(np.ascontiguousarray(array).tobytes())
-    digest.update("\n".join(f"{a},{b}" for a, b in source_classes).encode())
+    digest.update("\n".join(f"{a},{b}" for a, b in interp.source_classes).encode())
     digest.update("\n".join(labels).encode())
     assert digest.hexdigest() == SYNTH

@@ -71,7 +71,6 @@ class TestSynthesizeHardSeen:
         # u1's two nearest seen classes hold 10 + 15 samples; alpha 2 -> 50 rows
         synth = synthesize_hard_seen(train, sem, split, ["u1"], 2.0, 2, seed=1)
         assert len(synth) == 50
-        assert set(synth.tags) == {"hard-seen-interp"}
 
     def test_alpha_zero_is_empty(self):
         train, sem, split = small_world()
@@ -95,12 +94,11 @@ class TestSynthesizeHardSeen:
         synth = synthesize_hard_seen(train, sem, split, ["u1", "u2"], 1.5, 2, seed=7)
         feats = train.features.astype(np.float64)
         for row in range(len(synth)):
-            prov = synth.provenance[row]
-            gamma = prov.gamma
+            gamma = synth.gamma[row]
             assert 0.0 < gamma < 1.0
-            cls_i, cls_j = prov.source_classes
+            cls_i, cls_j = synth.source_classes[row]
             assert cls_i != cls_j
-            row_i, row_j = prov.source_rows
+            row_i, row_j = synth.source_rows[row]
             np.testing.assert_allclose(
                 synth.features[row],
                 gamma * feats[row_i] + (1 - gamma) * feats[row_j],
@@ -116,16 +114,18 @@ class TestSynthesizeHardSeen:
         train, sem, split = small_world()
         synth = synthesize_hard_seen(train, sem, split, ["u1"], 2.0, 2, seed=3)
         support = set(support_seen_classes("u1", sem, split, 2))
-        for prov in synth.provenance:
-            assert set(prov.source_classes) <= support
-            assert prov.source_classes[0] != prov.source_classes[1]
+        for pair in synth.source_classes:
+            assert set(pair) <= support
+            assert pair[0] != pair[1]
 
     def test_deterministic_given_seed(self):
         train, sem, split = small_world()
         first = synthesize_hard_seen(train, sem, split, ["u1"], 1.0, 2, seed=5)
         second = synthesize_hard_seen(train, sem, split, ["u1"], 1.0, 2, seed=5)
         np.testing.assert_array_equal(first.features, second.features)
-        assert first.provenance == second.provenance
+        np.testing.assert_array_equal(first.gamma, second.gamma)
+        np.testing.assert_array_equal(first.source_rows, second.source_rows)
+        np.testing.assert_array_equal(first.source_classes, second.source_classes)
 
     def test_support_class_without_samples_rejected(self):
         _, sem, split = small_world()
@@ -145,23 +145,23 @@ class TestSynthesizeUnseen:
 
     def test_count_schedule(self):
         gen, sem, split = self.world()
-        synth = synthesize_unseen(gen, sem, split, ["u1"], 100, 2.0, seed=0)
+        features, labels = synthesize_unseen(gen, sem, split, ["u1"], 100, 2.0, seed=0)
         # one hard class at 200, one easy at 100
-        assert len(synth) == 300
-        assert synth.labels.count("u1") == 200
-        assert synth.labels.count("u2") == 100
+        assert len(features) == len(labels) == 300
+        assert labels.count("u1") == 200
+        assert labels.count("u2") == 100
 
     def test_beta_one_is_uniform(self):
         gen, sem, split = self.world()
-        synth = synthesize_unseen(gen, sem, split, ["u1"], 50, 1.0, seed=0)
-        assert synth.labels.count("u1") == synth.labels.count("u2") == 50
+        _, labels = synthesize_unseen(gen, sem, split, ["u1"], 50, 1.0, seed=0)
+        assert labels.count("u1") == labels.count("u2") == 50
 
     def test_empirical_means_match_generator(self):
         gen, sem, split = self.world()
-        synth = synthesize_unseen(gen, sem, split, [], 10_000, 1.0, seed=0)
+        features, labels = synthesize_unseen(gen, sem, split, [], 10_000, 1.0, seed=0)
         for cls in ["u1", "u2"]:
-            rows = [i for i, l in enumerate(synth.labels) if l == cls]
-            mean = synth.features[rows].mean(axis=0)
+            rows = [i for i, l in enumerate(labels) if l == cls]
+            mean = features[rows].mean(axis=0)
             bound = 4 * np.sqrt(gen.covariance / len(rows))
             assert (np.abs(mean - gen.class_mean(sem[cls])) < bound).all()
 
@@ -239,7 +239,7 @@ def test_synth_set_field_lengths_checked():
         SynthSet(
             features=np.zeros((2, 3)),
             semantics=np.zeros((2, 2)),
-            labels=("a",),
-            tags=("unseen-gen", "unseen-gen"),
-            provenance=(None, None),
+            gamma=np.zeros(2),
+            source_rows=np.zeros((1, 2), dtype=np.intp),
+            source_classes=np.array([["a", "b"], ["a", "b"]]),
         )

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -289,6 +291,19 @@ class TestRunHarst:
             preds, trace = run_harst(bundle, cfg)
         assert len(preds) == bundle.test_unseen.n
         assert [rec.selected_per_class for rec in trace.records] == [{}, {}]
+
+    def test_random_selection_does_not_warn_about_cfbs_pools(self, standard_benchmark):
+        # the CFBS hard-class pools are empty here, but the ``rs`` arm never draws from them
+        bundle, _, _ = standard_benchmark
+        cfg = self.config(
+            iterations=2, hard_count=2, base="generative", selection="rs",
+            label_space="all", n_unseen=20, classifier=ClassifierConfig(epochs=40),
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_harst(bundle, cfg)
+        assert not [w for w in caught if "hard class" in str(w.message)]
+        assert caught  # the empty random pool still warns
 
     def test_self_training_improves_in_the_mean(self):
         gains = []

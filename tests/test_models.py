@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardboost.data import FeatureTable, SemanticTable
+from hardboost.data import FeatureTable, SemanticTable, load_bundle
 from hardboost.models import (
     COVARIANCE_FLOOR,
     _ridge_solve,
@@ -67,6 +67,12 @@ class TestFitEmbedding:
         sem = SemanticTable(vectors={"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0]})
         with pytest.raises(SingularFitError, match="ridge"):
             fit_embedding(train, sem, ridge=0.0)
+
+    def test_desk_bundle_at_ridge_zero_is_singular(self, data_dir):
+        # 12 seen classes span at most 11 centred directions of a 20-d semantic space
+        bundle = load_bundle(data_dir)
+        with pytest.raises(SingularFitError, match="ridge"):
+            fit_embedding(bundle.train_seen, bundle.semantics, ridge=0.0)
 
     def test_refit_is_bit_identical(self, rng):
         train = table(rng.normal(size=(20, 4)), [f"c{i % 5}" for i in range(20)])
@@ -214,6 +220,12 @@ class TestFitGenerator:
         model = fit_generator(train, sem, ridge=0.0)
         np.testing.assert_allclose(model.class_mean(sem["a"]), [3.0, 5.0], atol=1e-12)
         np.testing.assert_array_equal(model.covariance, [COVARIANCE_FLOOR] * 2)
+
+    def test_desk_bundle_at_ridge_zero_is_singular(self, data_dir):
+        # 12 class groups cannot fix a 20-d semantic map
+        bundle = load_bundle(data_dir)
+        with pytest.raises(SingularFitError, match="ridge"):
+            fit_generator(bundle.train_seen, bundle.semantics, ridge=0.0)
 
     def test_recovers_planted_linear_map(self, standard_benchmark):
         bundle, _, w0 = standard_benchmark
