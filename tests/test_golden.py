@@ -71,9 +71,14 @@ BASELINE = "2117b778ed7a86c45905d5ba8d183f4b65f80cfb072f5caabe0de8d3625c61c9"
 # prediction digests are argmax-robust; this pins the synthesized rows' bits
 SYNTH = "368d3ee158b9432343ae62777709129b8793865cb545e62c0b5a84f1d6655a80"
 
+# name -> (analyze flags after --mode contrastive, digest of contrastive.json)
 CONTRASTIVE = {
-    "inductive": "855f564cfa6e44b579a097c5c5b5f15baf349d52e5bcb5c46fab4838e99b5d11",
-    "transductive": "89a0c33bfb469ecf1c453dcd3b34b02758b2b0f43b66177a5073f0ae29d4a889",
+    "inductive": (["--setting", "inductive"],
+                  "855f564cfa6e44b579a097c5c5b5f15baf349d52e5bcb5c46fab4838e99b5d11"),
+    "transductive": (["--setting", "transductive"],
+                     "89a0c33bfb469ecf1c453dcd3b34b02758b2b0f43b66177a5073f0ae29d4a889"),
+    "transductive-embedding": (["--setting", "transductive", "--base", "embedding"],
+                               "5cfcb1b7a876fa47d98ee5f33468f62e82aabd2e9198d1a2490663eb46f7fcfa"),
 }
 
 
@@ -96,14 +101,15 @@ def test_pipeline_outputs_are_pinned(name, data_dir, tmp_path):
     assert {f: _sha(out / f) for f in digests} == digests
 
 
-@pytest.mark.parametrize("setting", sorted(CONTRASTIVE))
-def test_contrastive_outputs_are_pinned(setting, data_dir, tmp_path):
+@pytest.mark.parametrize("name", sorted(CONTRASTIVE))
+def test_contrastive_outputs_are_pinned(name, data_dir, tmp_path):
+    flags, digest = CONTRASTIVE[name]
     out = tmp_path / "out"
     assert dispatch(
-        ["analyze", "--data", str(data_dir), "--mode", "contrastive",
-         "--setting", setting, "--n", "6", "--seed", "3", "--out", str(out)]
+        ["analyze", "--data", str(data_dir), "--mode", "contrastive", *flags,
+         "--n", "6", "--seed", "3", "--out", str(out)]
     ) == 0
-    assert _sha(out / "contrastive.json") == CONTRASTIVE[setting]
+    assert _sha(out / "contrastive.json") == digest
 
 
 def test_generative_baseline_outputs_are_pinned(data_dir):
