@@ -17,10 +17,9 @@ import numpy as np
 from .data import ClassSplit, DatasetBundle, FeatureTable, UNLABELED
 from .models import (
     ClassifierConfig,
-    classify_embedding_batch,
     fit_classifier,
-    fit_embedding,
     fit_generator,
+    fit_predict_unseen,
     predict_classifier_batch,
     sample_per_class,
 )
@@ -328,18 +327,6 @@ def _truth_labels(table: FeatureTable) -> list[str]:
     return list(table.labels)
 
 
-def _uniform_generative_run(
-    bundle: DatasetBundle, n_per_class: int, ridge: float, clf: ClassifierConfig, seed: int
-) -> EvalReport:
-    gen = fit_generator(bundle.train_seen, bundle.semantics, ridge)
-    classes = sorted(bundle.split.unseen)
-    counts = dict.fromkeys(classes, n_per_class)
-    feats, labels = sample_per_class(gen, bundle.semantics, counts, seed, "oracle-gen")
-    model = fit_classifier(feats, labels, classes, clf)
-    preds = predict_classifier_batch(model, bundle.test_unseen.features)
-    return evaluate(preds, _truth_labels(bundle.test_unseen), bundle.split)
-
-
 GROUP_NAMES = ("easy-weighted", "hard-weighted", "uniform")
 
 
@@ -357,40 +344,38 @@ def contrastive_analysis(
 
     ``setting="inductive"`` varies how many samples are *synthesized* per
     class (2n per emphasized-group class, n otherwise, 1.5n uniform) and
-    trains one classifier per group.  ``setting="transductive"`` augments
-    the seen training set with *real* truth-labeled unseen rows (n per
-    emphasized-group class, n/2 uniform) and refits the base model.  All
-    three groups have equal sample budgets when the halves are equal.
+    trains one classifier per group; ``base`` must be generative.
+    ``setting="transductive"`` adds *real* truth-labeled unseen rows to the
+    seen training set (n per emphasized-group class, n/2 uniform) and refits
+    the base model with :func:`~hardboost.models.fit_predict_unseen`, the
+    refit ``harst`` uses, so each added row counts once for either base.
+    All three groups have equal sample budgets when the halves are equal.
+    Without ``oracle``, the halves come from the same refit with no added
+    rows.
     """
     if n < 1:
         raise ValueError("group size must be >= 1 (no training data otherwise)")
     if setting not in {"inductive", "transductive"}:
         raise ValueError(f"unknown setting {setting!r}")
+    if setting == "inductive" and base != "generative":
+        raise ValueError("the inductive study varies synthesis counts; base must be generative")
+    classes = sorted(bundle.split.unseen)
+    truths = _truth_labels(bundle.test_unseen)
     if oracle is None:
-        if base == "embedding":
-            model = fit_embedding(bundle.train_seen, bundle.semantics, ridge)
-            preds = classify_embedding_batch(
-                model, bundle.test_unseen.features, bundle.split.unseen, bundle.semantics
-            )
-            baseline = evaluate(preds, _truth_labels(bundle.test_unseen), bundle.split)
-        else:
-            baseline = _uniform_generative_run(bundle, n, ridge, classifier, seed)
+        preds = fit_predict_unseen(bundle, [], base, classes, ridge, n, classifier, seed, "oracle-gen")
+        baseline = evaluate(preds, truths, bundle.split)
         oracle = HardEasyOracle.from_accuracies(
-            {c: baseline.per_class_accuracy.get(c, 0.0) for c in sorted(bundle.split.unseen)}
+            {c: baseline.per_class_accuracy.get(c, 0.0) for c in classes}
         )
 
-    classes = sorted(bundle.split.unseen)
     group_counts = {
         "easy-weighted": {c: 2 * n if c in oracle.easy else n for c in classes},
         "hard-weighted": {c: 2 * n if c in oracle.hard else n for c in classes},
         "uniform": {c: round(1.5 * n) for c in classes},
     }
-    truths = _truth_labels(bundle.test_unseen)
     reports: dict[str, EvalReport] = {}
 
     if setting == "inductive":
-        if base != "generative":
-            raise ValueError("the inductive study varies synthesis counts; base must be generative")
         gen = fit_generator(bundle.train_seen, bundle.semantics, ridge)
         for name in GROUP_NAMES:
             feats, labels = sample_per_class(
@@ -401,17 +386,14 @@ def contrastive_analysis(
             reports[name] = evaluate(preds, truths, bundle.split)
         return reports
 
-    # transductive: add truth-labeled real rows and refit the base model
     real_counts = {
         "easy-weighted": {c: n if c in oracle.easy else 0 for c in classes},
         "hard-weighted": {c: n if c in oracle.hard else 0 for c in classes},
         "uniform": {c: round(n / 2) for c in classes},
     }
-    test_feats = bundle.test_unseen.features
     by_class = {c: bundle.test_unseen.rows_for(c) for c in classes}
     for name in GROUP_NAMES:
-        extra_rows = []
-        extra_labels = []
+        selected = []
         for idx, cls in enumerate(classes):
             count = real_counts[name][cls]
             if count == 0:
@@ -428,25 +410,9 @@ def contrastive_analysis(
                     stacklevel=2,
                 )
                 chosen = rng.choice(len(pool), size=count, replace=True)
-            extra_rows.extend(pool[chosen])
-            extra_labels.extend([cls] * count)
-        merged = FeatureTable(
-            features=np.concatenate(
-                [bundle.train_seen.features, test_feats[extra_rows]]
-            ),
-            labels=bundle.train_seen.labels + tuple(extra_labels),
+            selected.extend((row, cls) for row in pool[chosen])
+        preds = fit_predict_unseen(
+            bundle, selected, base, classes, ridge, n, classifier, seed, "group-clf", name
         )
-        if base == "embedding":
-            model = fit_embedding(merged, bundle.semantics, ridge)
-            preds = classify_embedding_batch(
-                model, test_feats, bundle.split.unseen, bundle.semantics
-            )
-        else:
-            gen = fit_generator(merged, bundle.semantics, ridge)
-            feats, labels = sample_per_class(
-                gen, bundle.semantics, dict.fromkeys(classes, n), seed, "group-clf", name
-            )
-            clf_model = fit_classifier(feats, labels, classes, classifier)
-            preds = predict_classifier_batch(clf_model, test_feats)
         reports[name] = evaluate(preds, truths, bundle.split)
     return reports

@@ -1,7 +1,8 @@
 """Transductive hardness-based selecting pipeline (iterative self-training).
 
 Each iteration re-fits the base model from scratch on the seen training set
-plus a selected subset of pseudo-labeled unseen rows.  Selection identifies
+plus a selected subset of pseudo-labeled unseen rows, through
+:func:`~hardboost.models.fit_predict_unseen`.  Selection identifies
 the lowest-frequency (optionally prior-normalized) pseudo-label classes as
 hard and draws the same number of rows from each with replacement, under a
 step-wise growing quota so that early, noisier pseudo labels contribute
@@ -13,9 +14,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
-from .data import DatasetBundle, FeatureTable, validate_bundle
+from .data import DatasetBundle, validate_bundle
 from .evaluation import EvalReport, evaluate_if_labeled
 from .hardness import (
     HardnessReport,
@@ -24,15 +23,7 @@ from .hardness import (
     pseudo_label_histogram,
 )
 from .hars import _stage
-from .models import (
-    ClassifierConfig,
-    classify_embedding_batch,
-    fit_classifier,
-    fit_embedding_means,
-    fit_generator,
-    predict_classifier_batch,
-    sample_per_class,
-)
+from .models import ClassifierConfig, fit_predict_unseen
 from .rng import child_seed, substream
 
 METRICS = ("cf", "pncf")
@@ -174,69 +165,6 @@ class IterationTrace:
     records: tuple[IterationRecord, ...]
 
 
-class _BaseModel:
-    """Fit/predict facade over the two reference base models."""
-
-    def __init__(self, bundle: DatasetBundle, config: HarstConfig):
-        self.bundle = bundle
-        self.config = config
-        if config.label_space == "all":
-            self.candidates = sorted(bundle.split.all_classes)
-        else:
-            self.candidates = sorted(bundle.split.unseen)
-
-    def fit_predict(self, train: FeatureTable, refit_index: int) -> list[str]:
-        bundle, config = self.bundle, self.config
-        if config.base == "embedding":
-            model = self._fit_embedding_base(train)
-            return classify_embedding_batch(
-                model, bundle.test_unseen.features, self.candidates, bundle.semantics
-            )
-        gen = fit_generator(train, bundle.semantics, config.ridge)
-        counts = dict.fromkeys(sorted(bundle.split.unseen), config.n_unseen)
-        feats, labels = sample_per_class(
-            gen, bundle.semantics, counts, config.seed, "refit-gen", refit_index
-        )
-        if config.label_space == "all":
-            feats = np.concatenate([feats, train.features.astype(np.float64)])
-            labels.extend(train.labels)
-        refit_seed = child_seed(config.seed, "refit", refit_index)
-        clf = fit_classifier(
-            feats,
-            labels,
-            self.candidates,
-            replace(config.classifier, seed=child_seed(refit_seed, "classifier")),
-        )
-        return predict_classifier_batch(clf, bundle.test_unseen.features)
-
-    def _fit_embedding_base(self, train: FeatureTable):
-        """Every training row counts once: each class enters the regression as
-        its mean weighted by its row count, so selection multiplicity weights
-        the fit and pseudo-label noise costs what it should."""
-        labels = sorted(set(train.labels))
-        groups = [train.rows_for(l) for l in labels]
-        means = np.stack([train.features[g].astype(np.float64).mean(axis=0) for g in groups])
-        counts = np.array([g.size for g in groups], dtype=np.float64)
-        return fit_embedding_means(
-            self.bundle.semantics.matrix(labels), means, counts, self.config.ridge
-        )
-
-
-def _merge_training(
-    bundle: DatasetBundle, selected: list[tuple[int, str]]
-) -> FeatureTable:
-    if not selected:
-        return bundle.train_seen
-    rows = [i for i, _ in selected]
-    labels = [l for _, l in selected]
-    return FeatureTable(
-        features=np.concatenate(
-            [bundle.train_seen.features, bundle.test_unseen.features[rows]]
-        ),
-        labels=bundle.train_seen.labels + tuple(labels),
-    )
-
-
 def run_harst(
     bundle: DatasetBundle, config: HarstConfig
 ) -> tuple[list[str], IterationTrace]:
@@ -253,16 +181,24 @@ def run_harst(
         raise ValueError(
             f"hard_count {config.hard_count} exceeds {bundle.split.num_unseen} unseen classes"
         )
-    base = _BaseModel(bundle, config)
     m = bundle.test_unseen.n
     if m == 0:
         raise ValueError("transductive training needs unseen test rows")
+    split = bundle.split
+    candidates = sorted(split.all_classes if config.label_space == "all" else split.unseen)
+
+    def fit_predict(selected, t):
+        clf_seed = child_seed(child_seed(config.seed, "refit", t), "classifier")
+        return fit_predict_unseen(
+            bundle, selected, config.base, candidates, config.ridge, config.n_unseen,
+            replace(config.classifier, seed=clf_seed), config.seed, "refit-gen", t,
+        )
 
     priors = None
     if config.metric == "pncf":
         priors = bundle.class_priors
 
-    initial = _stage("initial-fit", base.fit_predict, bundle.train_seen, 0)
+    initial = _stage("initial-fit", fit_predict, [], 0)
     if priors is None and config.metric == "pncf":
         priors = _stage(
             "estimate-priors",
@@ -305,8 +241,7 @@ def run_harst(
                     child_seed(config.seed, "select", t),
                     bundle.split,
                 )
-            merged = _stage("merge", _merge_training, bundle, selected)
-            current = _stage("refit", base.fit_predict, merged, t)
+            current = _stage("refit", fit_predict, selected, t)
             per_class: dict[str, int] = {}
             for _, label in selected:
                 per_class[label] = per_class.get(label, 0) + 1

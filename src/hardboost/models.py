@@ -11,6 +11,10 @@ and therefore exactly reproducible.
   around it with a shared diagonal covariance.
 * ``Classifier`` is multinomial logistic regression trained by full-batch
   (optionally mini-batch) gradient descent.
+
+:func:`fit_predict_unseen` is the transductive refit that ``harst`` and the
+contrastive study share: fit either base on the seen training rows plus
+selected (test row, label) pairs, then label every unseen test row.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import FeatureTable, SemanticTable
+from .data import DatasetBundle, FeatureTable, SemanticTable
 from .rng import child_seed
 
 COVARIANCE_FLOOR = 1e-6
@@ -35,13 +39,11 @@ def _class_means(
     labels = sorted(set(table.labels))
     if not labels:
         raise ValueError("cannot fit on an empty table")
-    feats = table.features.astype(np.float64)
     means = []
     for cls in labels:
         if cls not in semantics:
             raise ValueError(f"training label {cls!r} has no semantic vector")
-        rows = table.rows_for(cls)
-        means.append(feats[rows].mean(axis=0))
+        means.append(table.features[table.rows_for(cls)].astype(np.float64).mean(axis=0))
     return labels, np.stack(means), semantics.matrix(labels)
 
 
@@ -419,3 +421,54 @@ def predict_classifier_batch(model: Classifier, features: np.ndarray) -> list[st
     picks = model.logits(features).argmax(axis=1)
     return [model.classes[i] for i in picks]
 
+
+
+# ---------------------------------------------------------------------------
+# transductive refit
+
+
+def fit_predict_unseen(
+    bundle: DatasetBundle,
+    selected,
+    base: str,
+    candidates,
+    ridge: float,
+    n_per_class: int,
+    classifier: ClassifierConfig,
+    seed: int,
+    *stream,
+) -> list[str]:
+    """Fit ``base`` on the seen training rows plus the ``selected``
+    (test row index, label) pairs, then label every unseen test row.
+
+    Every training row counts once, so a pair selected twice counts twice:
+    the ``"embedding"`` base fits class means weighted by their row counts,
+    so selection multiplicity weights the fit and pseudo-label noise costs
+    what it should, and it picks the nearest candidate prototype.  The ``"generative"`` base draws ``n_per_class`` rows per
+    unseen class from ``(seed, *stream)``, adds the training rows when the
+    candidates include seen classes, and trains a softmax classifier over
+    the candidates with ``classifier``.
+    """
+    train = bundle.train_seen
+    if selected:
+        rows, row_labels = zip(*selected)
+        train = FeatureTable(
+            features=np.concatenate([train.features, bundle.test_unseen.features[list(rows)]]),
+            labels=train.labels + row_labels,
+        )
+    test = bundle.test_unseen.features
+    if base == "embedding":
+        labels, means, sem = _class_means(train, bundle.semantics)
+        counts = [train.rows_for(cls).size for cls in labels]
+        model = fit_embedding_means(sem, means, counts, ridge)
+        return classify_embedding_batch(model, test, candidates, bundle.semantics)
+    if base != "generative":
+        raise ValueError(f"unknown base model {base!r}")
+    gen = fit_generator(train, bundle.semantics, ridge)
+    counts = dict.fromkeys(sorted(bundle.split.unseen), n_per_class)
+    feats, labels = sample_per_class(gen, bundle.semantics, counts, seed, *stream)
+    if not bundle.split.unseen.issuperset(candidates):
+        feats = np.concatenate([feats, train.features.astype(np.float64)])
+        labels.extend(train.labels)
+    clf = fit_classifier(feats, labels, candidates, classifier)
+    return predict_classifier_batch(clf, test)

@@ -78,7 +78,7 @@ CONTRASTIVE = {
     "transductive": (["--setting", "transductive"],
                      "89a0c33bfb469ecf1c453dcd3b34b02758b2b0f43b66177a5073f0ae29d4a889"),
     "transductive-embedding": (["--setting", "transductive", "--base", "embedding"],
-                               "5cfcb1b7a876fa47d98ee5f33468f62e82aabd2e9198d1a2490663eb46f7fcfa"),
+                               "2daeee89fa01a05287713204e494b815e717f02b7c0a375685aaafc668f0c1a0"),
 }
 
 

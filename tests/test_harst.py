@@ -198,21 +198,21 @@ class TestRunHarst:
         cfg = self.config(iterations=3)
         from hardboost import harst as harst_module
 
-        original = harst_module._BaseModel.fit_predict
+        original = harst_module.fit_predict_unseen
         calls = {"n": 0}
 
-        def flaky(self, train, refit_index):
+        def flaky(*args):
             calls["n"] += 1
             if calls["n"] == 4:  # initial fit + 2 refits succeed, third refit fails
                 raise Boom("storage lost")
-            return original(self, train, refit_index)
+            return original(*args)
 
-        harst_module._BaseModel.fit_predict = flaky
+        harst_module.fit_predict_unseen = flaky
         try:
             with pytest.raises(PipelineError) as excinfo:
                 run_harst(bundle, cfg)
         finally:
-            harst_module._BaseModel.fit_predict = original
+            harst_module.fit_predict_unseen = original
         assert len(excinfo.value.partial_trace.records) == 2
 
     def test_bit_identical_reruns(self, standard_benchmark):

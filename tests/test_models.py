@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hardboost.models import (
     fit_embedding,
     fit_embedding_means,
     fit_generator,
+    fit_predict_unseen,
     nearest_rows,
     predict_classifier,
     predict_classifier_batch,
@@ -247,6 +249,32 @@ class TestFitGenerator:
         without = fit_generator(bundle.train_seen, bundle.semantics, ridge=0.1)
         with_synth = fit_generator(bundle.train_seen, bundle.semantics, ridge=0.1, synth=synth)
         assert not np.array_equal(without.coeff, with_synth.coeff)
+
+
+class TestFitPredictUnseen:
+    @pytest.mark.parametrize("base", ["embedding", "generative"])
+    @pytest.mark.parametrize("space", ["unseen", "all"])
+    def test_a_row_selected_twice_fits_as_a_table_holding_it_twice(
+        self, standard_benchmark, base, space
+    ):
+        bundle, _, _ = standard_benchmark
+        train, test = bundle.train_seen, bundle.test_unseen
+        row, label = 5, bundle.test_unseen.labels[5]
+        holding = replace(bundle, train_seen=FeatureTable(
+            features=np.concatenate([train.features, test.features[[row, row]]]),
+            labels=train.labels + (label, label),
+        ))
+        split = bundle.split
+        candidates = sorted(split.unseen if space == "unseen" else split.all_classes)
+        args = (base, candidates, 0.1, 5, ClassifierConfig(epochs=5), 0, "s")
+        selected = fit_predict_unseen(bundle, [(row, label), (row, label)], *args)
+        assert selected == fit_predict_unseen(holding, [], *args)
+        assert set(selected) <= set(candidates)
+
+    def test_unknown_base_rejected(self, standard_benchmark):
+        bundle, _, _ = standard_benchmark
+        with pytest.raises(ValueError, match="unknown base model"):
+            fit_predict_unseen(bundle, [], "knn", ["u00"], 0.1, 5, ClassifierConfig(), 0)
 
 
 class TestSampleGenerator:
