@@ -38,8 +38,7 @@ from .evaluation import EvalReport, amr, apr, contrastive_analysis, evaluate, id
 from .hardness import (
     HardnessReport,
     estimate_class_priors,
-    normalize_by_prior,
-    pseudo_label_histogram,
+    frequency_hardness,
     semantic_similarity_matrix,
     ss_scores,
 )
@@ -247,13 +246,10 @@ def _hardness_for(args, bundle) -> HardnessReport:
     if not args.preds:
         raise _UsageError(f"--preds is required for metric {args.metric!r}")
     preds = load_predictions(args.preds)
-    freqs = pseudo_label_histogram(preds, bundle.split)
-    if args.metric == "cf":
-        return HardnessReport.from_scores("cf", {c: float(v) for c, v in freqs.items()}, args.k)
     priors = bundle.class_priors
-    if priors is None:
+    if priors is None and args.metric == "pncf":
         priors = estimate_class_priors(bundle.test_unseen, bundle.split, args.seed, preds)
-    return HardnessReport.from_scores("pncf", normalize_by_prior(freqs, priors), args.k)
+    return frequency_hardness(preds, bundle.split, args.metric, args.k, priors)
 
 
 def _cmd_identify(args) -> int:

@@ -122,6 +122,36 @@ def normalize_by_prior(
     return {cls: freqs[cls] / priors[cls] for cls in sorted(freqs)}
 
 
+def frequency_hardness(
+    pseudo_labels,
+    split: ClassSplit,
+    metric: str,
+    k: int,
+    priors: dict[str, float] | None = None,
+) -> HardnessReport:
+    """The ``cf`` or ``pncf`` hardness report of a set of pseudo labels.
+
+    ``cf`` scores each unseen class by how often it was predicted; ``pncf``
+    divides that count by the class prior.  Seen-class labels, which
+    predictions over all classes contain, are dropped; a label outside the
+    split raises.
+    """
+    pseudo_labels = list(pseudo_labels)
+    unknown = sorted(set(pseudo_labels) - split.all_classes)
+    if unknown:
+        raise ValueError(f"pseudo label {unknown[0]!r} is not a class of the split")
+    freqs = pseudo_label_histogram([l for l in pseudo_labels if l in split.unseen], split)
+    if metric == "pncf":
+        if priors is None:
+            raise ValueError("prior-normalized selection needs class priors")
+        scores = normalize_by_prior(freqs, priors)
+    elif metric == "cf":
+        scores = {c: float(v) for c, v in freqs.items()}
+    else:
+        raise ValueError(f"unknown metric {metric!r}")
+    return HardnessReport.from_scores(metric, scores, k)
+
+
 def estimate_class_priors(
     unlabeled: FeatureTable,
     split: ClassSplit,

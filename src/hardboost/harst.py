@@ -16,12 +16,7 @@ from dataclasses import dataclass, field, replace
 
 from .data import DatasetBundle, validate_bundle
 from .evaluation import EvalReport, evaluate_if_labeled
-from .hardness import (
-    HardnessReport,
-    estimate_class_priors,
-    normalize_by_prior,
-    pseudo_label_histogram,
-)
+from .hardness import HardnessReport, estimate_class_priors, frequency_hardness
 from .hars import _stage
 from .models import ClassifierConfig, fit_predict_unseen
 from .rng import child_seed, substream
@@ -90,17 +85,7 @@ def select_cfbs(
     if quota < 0:
         raise ValueError("quota must be >= 0")
     pseudo_labels = list(pseudo_labels)
-    unseen_only = [l for l in pseudo_labels if l in split.unseen]
-    freqs = pseudo_label_histogram(unseen_only, split)
-    if metric == "pncf":
-        if priors is None:
-            raise ValueError("prior-normalized selection needs class priors")
-        scores = normalize_by_prior(freqs, priors)
-    elif metric == "cf":
-        scores = {c: float(v) for c, v in freqs.items()}
-    else:
-        raise ValueError(f"unknown metric {metric!r}")
-    report = HardnessReport.from_scores(metric, scores, hard_count)
+    report = frequency_hardness(pseudo_labels, split, metric, hard_count, priors)
 
     selected: list[tuple[int, str]] = []
     if quota > 0:
@@ -219,27 +204,21 @@ def run_harst(
     try:
         for t in range(1, config.iterations + 1):
             quota = selection_quota(t, m, config.iterations, config.hard_count)
-            # the ``rs`` arm keeps CFBS's hardness report for the trace but draws
-            # its rows at random, so CFBS itself draws nothing there
-            selected, hardness = _stage(
-                "select",
-                select_cfbs,
-                current,
-                bundle.split,
-                config.hard_count,
-                0 if config.selection == "rs" else quota,
-                priors,
-                config.metric,
-                child_seed(config.seed, "select", t),
-            )
-            if config.selection == "rs":
+            select_seed = child_seed(config.seed, "select", t)
+            if config.selection == "cfbs":
+                selected, hardness = _stage(
+                    "select", select_cfbs, current, split, config.hard_count, quota,
+                    priors, config.metric, select_seed,
+                )
+            else:
+                # the trace records the hardness report the rows ignore
+                hardness = _stage(
+                    "select", frequency_hardness, current, split, config.metric,
+                    config.hard_count, priors,
+                )
                 selected = _stage(
-                    "select-random",
-                    random_selection_baseline,
-                    current,
-                    config.hard_count * quota,
-                    child_seed(config.seed, "select", t),
-                    bundle.split,
+                    "select-random", random_selection_baseline, current,
+                    config.hard_count * quota, select_seed, split,
                 )
             current = _stage("refit", fit_predict, selected, t)
             per_class: dict[str, int] = {}

@@ -120,6 +120,28 @@ class TestIdentify:
         )
         assert code == 1
 
+    def test_cf_drops_seen_pseudo_labels(self, data_dir, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", T=2, metric="cf", base_model="embedding",
+                           label_space="all")
+        run = tmp_path / "run"
+        assert dispatch(["harst", "--data", str(data_dir), "--config", str(cfg), "--out", str(run)]) == 0
+        preds = load_predictions(run / "predictions.csv")
+        assert any(p.startswith("s") for p in preds)
+        out = tmp_path / "id"
+        assert dispatch(["identify", "--data", str(data_dir), "--metric", "cf", "--k", "2",
+                         "--preds", str(run / "predictions.csv"), "--out", str(out)]) == 0
+        scores = json.loads((out / "hardness.json").read_text())["scores"]
+        assert scores == {f"u{i:02d}": float(preds.count(f"u{i:02d}")) for i in range(8)}
+
+    def test_label_outside_the_split_rejected(self, data_dir, tmp_path, capsys):
+        preds = tmp_path / "preds.csv"
+        preds.write_text("row_index,predicted_class\n" + "".join(
+            f"{i},{'zz' if i == 7 else 'u00'}\n" for i in range(160)))
+        code = dispatch(["identify", "--data", str(data_dir), "--metric", "cf", "--k", "2",
+                         "--preds", str(preds), "--out", str(tmp_path / "id")])
+        assert code == 2
+        assert "'zz' is not a class of the split" in capsys.readouterr().err
+
 
 class TestPipelines:
     def test_hars_outputs(self, data_dir, tmp_path):
