@@ -222,6 +222,11 @@ def fit_generator(
     groups that shape the map without contributing scatter.  The shared
     covariance is the within-group variance pooled over all rows with a
     degrees-of-freedom correction, floored at ``COVARIANCE_FLOOR``.
+
+    Every synthesized semantic vector mixes the vectors of its two source
+    classes, so the design's rank is at most the number of distinct real
+    classes among the training labels and the synthesized rows' sources;
+    ridge 0 below the semantic dimension raises ``SingularFitError``.
     """
     if ridge < 0:
         raise ValueError("ridge must be >= 0")
@@ -231,8 +236,9 @@ def fit_generator(
     sq_dev = np.zeros(train.dim, dtype=np.float64)
     n_rows = train.n
     n_groups = sem.shape[0]
+    classes = set(train.labels)
     feats = train.features.astype(np.float64)
-    for cls_idx, cls in enumerate(sorted(set(train.labels))):
+    for cls_idx, cls in enumerate(sorted(classes)):
         rows = feats[train.rows_for(cls)]
         sq_dev += ((rows - means[cls_idx]) ** 2).sum(axis=0)
 
@@ -255,10 +261,11 @@ def fit_generator(
             sq_dev += ((members - mean) ** 2).sum(axis=0)
         n_rows += len(synth)
         n_groups += len(groups)
+        classes.update(synth.source_classes.ravel().tolist())
 
     design = np.concatenate(group_sems)
     targets = np.concatenate(group_means)
-    coeff = _ridge_solve(design, targets, ridge)
+    coeff = _ridge_solve(design, targets, ridge, min(n_groups, len(classes)))
     dof = max(n_rows - n_groups, 1)
     covariance = np.maximum(sq_dev / dof, COVARIANCE_FLOOR)
     return GenerativeModel(coeff=coeff, covariance=covariance, ridge=float(ridge))

@@ -229,6 +229,19 @@ class TestFitGenerator:
         with pytest.raises(SingularFitError, match="ridge"):
             fit_generator(bundle.train_seen, bundle.semantics, ridge=0.0)
 
+    def test_interpolated_rows_do_not_raise_the_rank_at_ridge_zero(self, standard_benchmark):
+        from hardboost.hardness import HardnessReport, ss_scores
+        from hardboost.hars import synthesize_hard_seen
+
+        # 12 class groups and 360 virtual ones, each mixing two of the 12 classes
+        bundle, _, _ = standard_benchmark
+        sem, split = bundle.semantics, bundle.split
+        hard = HardnessReport.from_scores("ss", ss_scores(sem, split), 3).hard
+        synth = synthesize_hard_seen(bundle.train_seen, sem, split, hard, 2.0, 2, seed=0)
+        assert len(synth) == 360
+        with pytest.raises(SingularFitError, match="ridge"):
+            fit_generator(bundle.train_seen, sem, ridge=0.0, synth=synth)
+
     def test_recovers_planted_linear_map(self, standard_benchmark):
         bundle, _, w0 = standard_benchmark
         model = fit_generator(bundle.train_seen, bundle.semantics, ridge=1e-6)
