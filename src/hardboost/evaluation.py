@@ -32,7 +32,10 @@ def harmonic_mean(a: float, b: float) -> float:
         raise ValueError("harmonic mean arguments must be non-negative")
     if a == 0.0 or b == 0.0:
         return 0.0
-    return 2.0 * a * b / (a + b)
+    # 2ab underflows long before the mean does; 2lo/(1 + lo/hi) does not,
+    # and ordering the arguments keeps the result exactly symmetric
+    lo, hi = (a, b) if a <= b else (b, a)
+    return lo * (2.0 / (1.0 + lo / hi))
 
 
 @dataclass(frozen=True)

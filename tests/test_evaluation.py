@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hardboost.data import ClassSplit
@@ -34,6 +34,7 @@ class TestHarmonicMean:
         st.floats(0, 1, allow_subnormal=False),
         st.floats(0, 1, allow_subnormal=False),
     )
+    @example(2.3256806326139505e-74, 1.8918897354815617e-249)  # 2ab is subnormal
     def test_symmetric_and_bounded(self, a, b):
         h = harmonic_mean(a, b)
         assert h == harmonic_mean(b, a)
