@@ -14,6 +14,7 @@ reproduce identical output bytes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -24,7 +25,7 @@ from pathlib import Path
 
 from . import __version__
 from .benchmark import BenchmarkSpec, make_benchmark
-from .config import RunConfig, load_run_config, parse_run_config
+from .config import RunConfig, _checked, load_run_config, parse_run_config
 from .data import (
     ConfigError,
     DataError,
@@ -234,6 +235,15 @@ def load_benchmark_spec(path) -> BenchmarkSpec:
     unknown = sorted(set(obj) - allowed)
     if unknown:
         raise ConfigError(f"{path}: unknown key {unknown[0]!r}")
+    kinds = {f.name: f.type for f in dataclasses.fields(BenchmarkSpec)}
+    for key, value in obj.items():
+        if key != "unseen_counts":
+            _checked(key, value, kinds[key], str(path))
+        elif value is not None:
+            if not isinstance(value, dict):
+                raise ConfigError(f"{path}: unseen_counts must be an object, got {value!r}")
+            for cls, count in value.items():
+                _checked(f"unseen_counts.{cls}", count, "int", str(path))
     try:
         return BenchmarkSpec(**obj)
     except (TypeError, ValueError) as exc:

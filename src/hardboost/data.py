@@ -427,14 +427,26 @@ def write_semantic_table(table: SemanticTable, path) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def load_split(path) -> ClassSplit:
-    name = str(path)
+def load_json(path):
+    """The parsed contents of a JSON file; malformed JSON is a ``DataError``."""
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
-        raise DataError(f"{name}: invalid JSON: {exc}") from None
+        raise DataError(f"{path}: invalid JSON: {exc}") from None
+
+
+def is_json_number(value) -> bool:
+    """True for a JSON number; JSON booleans are not numbers here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def load_split(path) -> ClassSplit:
+    obj = load_json(path)
     if not isinstance(obj, dict) or set(obj) != {"seen", "unseen"}:
-        raise DataError(f'{name}: expected an object with keys "seen" and "unseen"')
+        raise DataError(f'{path}: expected an object with keys "seen" and "unseen"')
+    for key, ids in obj.items():
+        if not (isinstance(ids, list) and all(isinstance(cls, str) for cls in ids)):
+            raise DataError(f"{path}: {key} must be a list of class id strings, got {ids!r}")
     return ClassSplit(seen=frozenset(obj["seen"]), unseen=frozenset(obj["unseen"]))
 
 
@@ -446,11 +458,13 @@ def write_split(split: ClassSplit, path) -> None:
 
 
 def load_priors(path) -> dict[str, float]:
-    name = str(path)
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    obj = load_json(path)
     if not isinstance(obj, dict):
-        raise DataError(f"{name}: expected a JSON object of class -> prior")
-    return {str(k): float(v) for k, v in obj.items()}
+        raise DataError(f"{path}: expected a JSON object of class -> prior")
+    for cls, prior in obj.items():
+        if not is_json_number(prior):
+            raise DataError(f"{path}: prior for class {cls!r} must be a number, got {prior!r}")
+    return {cls: float(prior) for cls, prior in obj.items()}
 
 
 def write_priors(priors: dict[str, float], path) -> None:

@@ -14,15 +14,22 @@ Two families of scores are supported:
 
 from __future__ import annotations
 
-import json
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .data import ClassSplit, FeatureTable, SemanticTable, atomic_write_text, dump_json
+from .data import (
+    ClassSplit,
+    DataError,
+    FeatureTable,
+    SemanticTable,
+    atomic_write_text,
+    dump_json,
+    is_json_number,
+    load_json,
+)
 from .models import nearest_rows
 from .rng import substream
 
@@ -256,10 +263,26 @@ class HardnessReport:
 
     @classmethod
     def read_json(cls, path) -> "HardnessReport":
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(
-            metric=obj["metric"],
-            scores={str(c): float(v) for c, v in obj["scores"].items()},
-            hard=tuple(obj["hard"]),
-            k=int(obj["K"]),
-        )
+        obj = load_json(path)
+        kinds = {"metric": str, "scores": dict, "hard": list, "K": int}
+        if not isinstance(obj, dict):
+            raise DataError(f"{path}: expected a JSON object")
+        for key, kind in kinds.items():
+            if key not in obj:
+                raise DataError(f"{path}: missing key {key!r}")
+            if isinstance(obj[key], bool) or not isinstance(obj[key], kind):
+                raise DataError(f"{path}: {key} must be of type {kind.__name__}, got {obj[key]!r}")
+        if not all(isinstance(c, str) for c in obj["hard"]):
+            raise DataError(f"{path}: hard must list class ids, got {obj['hard']!r}")
+        for c, v in obj["scores"].items():
+            if not is_json_number(v):
+                raise DataError(f"{path}: score of class {c!r} must be a number, got {v!r}")
+        try:
+            return cls(
+                metric=obj["metric"],
+                scores={c: float(v) for c, v in obj["scores"].items()},
+                hard=tuple(obj["hard"]),
+                k=obj["K"],
+            )
+        except ValueError as exc:
+            raise DataError(f"{path}: {exc}") from None

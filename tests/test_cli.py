@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -257,6 +258,65 @@ class TestEvalAndAnalyze:
         assert code == 0
         result = json.loads((out / "contrastive.json").read_text())
         assert set(result) == {"easy-weighted", "hard-weighted", "uniform"}
+
+
+class TestBadJsonInputs:
+    """A file value of the wrong JSON type fails with exit 2, naming the file and key."""
+
+    def copy_with(self, data_dir, tmp_path, name, obj):
+        data = shutil.copytree(data_dir, tmp_path / "data")
+        (data / name).write_text(json.dumps(obj))
+        return data
+
+    @pytest.mark.parametrize("value", [[0.125], "0.125", True, None])
+    def test_priors(self, data_dir, tmp_path, capsys, value):
+        priors = json.loads((data_dir / "priors.json").read_text())
+        data = self.copy_with(data_dir, tmp_path, "priors.json", {**priors, "u03": value})
+        code = dispatch(["identify", "--data", str(data), "--k", "2", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"{data / 'priors.json'}: prior for class 'u03'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [5, "s00s01", [0, 1], None])
+    def test_split(self, data_dir, tmp_path, capsys, value):
+        split = json.loads((data_dir / "split.json").read_text())
+        data = self.copy_with(data_dir, tmp_path, "split.json", {**split, "seen": value})
+        code = dispatch(["identify", "--data", str(data), "--k", "2", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"{data / 'split.json'}: seen must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [  # None: the key is missing
+        ("hard", None), ("hard", [0, 1]), ("K", "2"), ("K", True), ("scores", {"u00": "1"}),
+    ])
+    def test_hardness(self, data_dir, tmp_path, capsys, key, value):
+        obj = {"metric": "cf", "scores": {f"u{i:02d}": float(i) for i in range(8)},
+               "hard": ["u00", "u01"], "K": 2}
+        if value is None:
+            del obj[key]
+        else:
+            obj[key] = value
+        hardness = tmp_path / "hardness.json"
+        hardness.write_text(json.dumps(obj))
+        preds = tmp_path / "preds.csv"
+        preds.write_text("row_index,predicted_class\n" + "".join(f"{i},u00\n" for i in range(160)))
+        code = dispatch(["analyze", "--data", str(data_dir), "--preds", str(preds),
+                         "--hardness", str(hardness), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{hardness}: " in err and (key in err or "score of class 'u00'" in err)
+
+    @pytest.mark.parametrize("key, value", [
+        ("seen_count", 12.5), ("seen_count", True), ("n_per_class", 1.5),
+        ("unseen_counts", {"u00": 2.5}), ("unseen_counts", [2]),
+    ])
+    def test_synth_spec(self, tmp_path, capsys, key, value):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "seen_count": 6, "unseen_count": 4, "semantic_dim": 10, "visual_dim": 6,
+            "n_per_class": 3, "hard_pairs": 1, "affinity_gap": 0.2, "noise_scale": 0.1,
+            "seed": 2, key: value,
+        }))
+        assert dispatch(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+        assert f"{spec}: {key}" in capsys.readouterr().err
 
 
 class TestSweep:
