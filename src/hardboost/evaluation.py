@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ClassSplit, DatasetBundle, FeatureTable, UNLABELED
+from .data import ClassSplit, DatasetBundle, UNLABELED
 from .models import (
     ClassifierConfig,
     fit_classifier,
@@ -324,12 +324,6 @@ def identification_quality(
 # contrastive easy/hard training-emphasis study
 
 
-def _truth_labels(table: FeatureTable) -> list[str]:
-    if any(l == UNLABELED for l in table.labels):
-        raise ValueError("contrastive analysis needs true labels on the test rows")
-    return list(table.labels)
-
-
 GROUP_NAMES = ("easy-weighted", "hard-weighted", "uniform")
 
 
@@ -363,7 +357,9 @@ def contrastive_analysis(
     if setting == "inductive" and base != "generative":
         raise ValueError("the inductive study varies synthesis counts; base must be generative")
     classes = sorted(bundle.split.unseen)
-    truths = _truth_labels(bundle.test_unseen)
+    truths = list(bundle.test_unseen.labels)
+    if UNLABELED in truths:
+        raise ValueError("contrastive analysis needs true labels on the test rows")
     if oracle is None:
         preds = fit_predict_unseen(bundle, [], base, classes, ridge, n, classifier, seed, "oracle-gen")
         baseline = evaluate(preds, truths, bundle.split)

@@ -136,13 +136,10 @@ def frequency_hardness(
     k: int,
     priors: dict[str, float] | None = None,
 ) -> HardnessReport:
-    """The ``cf`` or ``pncf`` hardness report of a set of pseudo labels.
-
-    ``cf`` scores each unseen class by how often it was predicted; ``pncf``
-    divides that count by the class prior.  Seen-class labels, which
+    """``cf`` hardness scores each unseen class by its pseudo-label count,
+    ``pncf`` by that count over its prior.  Seen-class labels, which
     predictions over all classes contain, are dropped; a label outside the
-    split raises.
-    """
+    split raises."""
     pseudo_labels = list(pseudo_labels)
     unknown = sorted(set(pseudo_labels) - split.all_classes)
     if unknown:
@@ -264,25 +261,13 @@ class HardnessReport:
     @classmethod
     def read_json(cls, path) -> "HardnessReport":
         obj = load_json(path)
-        kinds = {"metric": str, "scores": dict, "hard": list, "K": int}
-        if not isinstance(obj, dict):
-            raise DataError(f"{path}: expected a JSON object")
-        for key, kind in kinds.items():
-            if key not in obj:
-                raise DataError(f"{path}: missing key {key!r}")
-            if isinstance(obj[key], bool) or not isinstance(obj[key], kind):
-                raise DataError(f"{path}: {key} must be of type {kind.__name__}, got {obj[key]!r}")
+        for key, kind in {"metric": str, "scores": dict, "hard": list, "K": int}.items():
+            value = obj.get(key) if isinstance(obj, dict) else None
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise DataError(f"{path}: {key} must be of type {kind.__name__}, got {value!r}")
         if not all(isinstance(c, str) for c in obj["hard"]):
             raise DataError(f"{path}: hard must list class ids, got {obj['hard']!r}")
-        for c, v in obj["scores"].items():
-            if not is_json_number(v):
-                raise DataError(f"{path}: score of class {c!r} must be a number, got {v!r}")
-        try:
-            return cls(
-                metric=obj["metric"],
-                scores={c: float(v) for c, v in obj["scores"].items()},
-                hard=tuple(obj["hard"]),
-                k=obj["K"],
-            )
-        except ValueError as exc:
-            raise DataError(f"{path}: {exc}") from None
+        if not all(is_json_number(v) for v in obj["scores"].values()):
+            raise DataError(f"{path}: scores must be numbers, got {obj['scores']!r}")
+        scores = {c: float(v) for c, v in obj["scores"].items()}
+        return cls(metric=obj["metric"], scores=scores, hard=tuple(obj["hard"]), k=obj["K"])

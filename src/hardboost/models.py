@@ -230,15 +230,15 @@ def fit_generator(
     """
     if ridge < 0:
         raise ValueError("ridge must be >= 0")
-    _, means, sem = _class_means(train, semantics)
+    labels, means, sem = _class_means(train, semantics)
     group_sems = [sem]
     group_means = [means]
     sq_dev = np.zeros(train.dim, dtype=np.float64)
     n_rows = train.n
     n_groups = sem.shape[0]
-    classes = set(train.labels)
+    classes = set(labels)
     feats = train.features.astype(np.float64)
-    for cls_idx, cls in enumerate(sorted(classes)):
+    for cls_idx, cls in enumerate(labels):
         rows = feats[train.rows_for(cls)]
         sq_dev += ((rows - means[cls_idx]) ** 2).sum(axis=0)
 
@@ -429,32 +429,25 @@ def predict_classifier_batch(model: Classifier, features: np.ndarray) -> list[st
     return [model.classes[i] for i in picks]
 
 
-
 # ---------------------------------------------------------------------------
 # transductive refit
 
 
 def fit_predict_unseen(
-    bundle: DatasetBundle,
-    selected,
-    base: str,
-    candidates,
-    ridge: float,
-    n_per_class: int,
-    classifier: ClassifierConfig,
-    seed: int,
-    *stream,
+    bundle: DatasetBundle, selected, base: str, candidates, ridge: float,
+    n_per_class: int, classifier: ClassifierConfig, seed: int, *stream,
 ) -> list[str]:
     """Fit ``base`` on the seen training rows plus the ``selected``
     (test row index, label) pairs, then label every unseen test row.
 
-    Every training row counts once, so a pair selected twice counts twice:
-    the ``"embedding"`` base fits class means weighted by their row counts,
+    Every training row counts once, so a pair selected twice counts twice.
+    The ``"embedding"`` base fits class means weighted by their row counts,
     so selection multiplicity weights the fit and pseudo-label noise costs
-    what it should, and it picks the nearest candidate prototype.  The ``"generative"`` base draws ``n_per_class`` rows per
-    unseen class from ``(seed, *stream)``, adds the training rows when the
-    candidates include seen classes, and trains a softmax classifier over
-    the candidates with ``classifier``.
+    what it should, and picks the nearest candidate prototype.  The
+    ``"generative"`` base draws ``n_per_class`` rows per unseen class from
+    ``(seed, *stream)``, adds the training rows when the candidates include
+    seen classes, and trains a softmax classifier over the candidates with
+    ``classifier``.
     """
     train = bundle.train_seen
     if selected:

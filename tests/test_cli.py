@@ -302,7 +302,7 @@ class TestBadJsonInputs:
                          "--hardness", str(hardness), "--out", str(tmp_path / "o")])
         assert code == 2
         err = capsys.readouterr().err
-        assert f"{hardness}: " in err and (key in err or "score of class 'u00'" in err)
+        assert f"{hardness}: {key}" in err
 
     @pytest.mark.parametrize("key, value", [
         ("seen_count", 12.5), ("seen_count", True), ("n_per_class", 1.5),
