@@ -189,7 +189,7 @@ def run_harst(
             "estimate-priors",
             estimate_class_priors,
             bundle.test_unseen,
-            bundle.split,
+            split,
             child_seed(config.seed, "priors"),
             initial,
         )
