@@ -7,8 +7,9 @@ the sha256 of its label and count outputs with the value recorded when the
 case was added.  One more case hashes the synthesized rows themselves, the
 interpolated virtual rows with their mixing weights and sources and the
 generated unseen rows, since a small bit change there can leave every
-prediction unchanged.  A changed digest means changed output bytes, which must
-be declared.
+prediction unchanged.  For the same reason two cases hash the weights, bias
+and loss history of a full-batch and of a mini-batch classifier fit.  A changed
+digest means changed output bytes, which must be declared.
 """
 
 import hashlib
@@ -22,7 +23,7 @@ from hardboost.cli import dispatch
 from hardboost.data import load_bundle
 from hardboost.hardness import HardnessReport, ss_scores
 from hardboost.hars import HarsConfig, run_generative_baseline, synthesize_hard_seen, synthesize_unseen
-from hardboost.models import ClassifierConfig, fit_generator
+from hardboost.models import ClassifierConfig, fit_classifier, fit_generator
 
 # mini-batches, so the outputs depend on each classifier's seed
 _CLF = {"epochs": 10, "batch_size": 32}
@@ -63,6 +64,12 @@ RUNS = {
         {"predictions.csv": "fc22b03c2471caab330b31ac5dbbab70d93237e61cc0ccf5d7b5ebf15826f478",
          "report.json": "677bb0d4ee37b5e25d364b4bb59d7dc0063913d1549a1bf81af6fea7ac540d87"},
     ),
+    # the default classifier: 200 full-batch epochs, as the timed runs train
+    "hars-full-batch": (
+        ["hars"], {"K": 4, "N_u": 20, "seed": 5},
+        {"predictions.csv": "bec929f29ecc17dd004055ff600e3847b1254f903dbe12913b9effb9d84d282a",
+         "report.json": "0f3c7d26841f8930bf3e74162b38406e4a612802399bef2cf030d43916b158ee"},
+    ),
 }
 
 # batch 8, not 32: at 32 the baseline's predictions do not depend on its classifier seed
@@ -70,6 +77,13 @@ BASELINE = "2117b778ed7a86c45905d5ba8d183f4b65f80cfb072f5caabe0de8d3625c61c9"
 
 # prediction digests are argmax-robust; this pins the synthesized rows' bits
 SYNTH = "368d3ee158b9432343ae62777709129b8793865cb545e62c0b5a84f1d6655a80"
+
+# batch size -> digest of weights, bias and loss history of one classifier fit
+# (203 rows, 10 classes); a batch of 16 leaves a short last batch of 11 rows
+FITS = {
+    None: "b56b0877de33c1473fd7bff4fe77ed0fc1d04035450d4457ba2b6a9a5aa2d86a",
+    16: "c79bf23ceff3841c6e59240ef09f5e9a5214ea9a5f901ac12786d8526ea099d2",
+}
 
 # name -> (analyze flags after --mode contrastive, digest of contrastive.json)
 CONTRASTIVE = {
@@ -120,6 +134,20 @@ def test_generative_baseline_outputs_are_pinned(data_dir):
     preds, report = run_generative_baseline(load_bundle(data_dir), config)
     digest = hashlib.sha256(("\n".join(preds) + repr(report.acc_u)).encode()).hexdigest()
     assert digest == BASELINE
+
+
+@pytest.mark.parametrize("batch_size", sorted(FITS, key=str))
+def test_classifier_fit_bits_are_pinned(batch_size):
+    rng = np.random.default_rng(7)
+    classes = [f"c{i}" for i in range(10)]
+    y = rng.integers(0, 10, size=203)
+    features = rng.standard_normal((10, 16))[y] + rng.standard_normal((203, 16))
+    config = ClassifierConfig(learning_rate=0.3, epochs=60 if batch_size is None else 6,
+                              batch_size=batch_size, seed=4)
+    model = fit_classifier(features, [classes[i] for i in y], classes, config)
+    digest = hashlib.sha256(model.weights.tobytes() + model.bias.tobytes())
+    digest.update(repr(model.loss_history).encode())
+    assert digest.hexdigest() == FITS[batch_size]
 
 
 def test_synthesized_rows_are_pinned(data_dir):
