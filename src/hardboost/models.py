@@ -10,7 +10,10 @@ and therefore exactly reproducible.
 * ``GenerativeModel`` maps a semantic vector to a class mean and samples
   around it with a shared diagonal covariance.
 * ``Classifier`` is multinomial logistic regression trained by full-batch
-  (optionally mini-batch) gradient descent.
+  (optionally mini-batch) gradient descent.  Every step of a fit runs one
+  kernel, :func:`_loss_and_grad_into`, in two softmax buffers allocated once
+  per fit, and updates the parameters in place.  Its results are bit-equal
+  to the direct form, ``_softmax(feats @ weights.T + bias)`` in fresh arrays.
 
 :func:`fit_predict_unseen` is the transductive refit that ``harst`` and the
 contrastive study share: fit either base on the seen training rows plus
@@ -337,6 +340,48 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=1, keepdims=True)
 
 
+def _probs_into(
+    weights: np.ndarray, bias: np.ndarray, feats: np.ndarray,
+    buf: np.ndarray, buf_t: np.ndarray,
+) -> np.ndarray:
+    """``_softmax(feats @ weights.T + bias)``, bit for bit, in the first rows of ``buf``.
+
+    ``buf`` is a C-ordered (rows, classes) buffer and ``buf_t`` a (classes,
+    rows) one, each with room for ``len(feats)`` rows.  The logits GEMM keeps
+    the ``feats @ weights.T`` layout: ``weights @ feats.T`` is faster but
+    rounds differently for some row counts.  The bias add and the max over
+    classes run on a transposed copy, where each is one pass over long rows
+    and exact in any order; the exp and the row sums run on ``buf``, since the
+    same numbers summed along strided rows round differently.
+    """
+    n = feats.shape[0]
+    probs, logits_t = buf[:n], buf_t[:, :n]
+    np.matmul(feats, weights.T, out=probs)
+    np.copyto(logits_t, probs.T)
+    logits_t += bias[:, None]
+    np.subtract(logits_t.T, logits_t.max(axis=0)[:, None], out=probs)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=1, keepdims=True)
+    return probs
+
+
+def _loss_and_grad_into(
+    weights: np.ndarray, bias: np.ndarray, feats: np.ndarray, label_idx: np.ndarray,
+    rows: np.ndarray, buf: np.ndarray, buf_t: np.ndarray,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """:func:`cross_entropy_and_grad` in the buffers of :func:`_probs_into`.
+
+    ``rows`` is ``np.arange(k)`` for some ``k >= len(feats)``.
+    """
+    n = feats.shape[0]
+    probs = _probs_into(weights, bias, feats, buf, buf_t)
+    picks = (rows[:n], label_idx)
+    loss = float(-np.log(np.maximum(probs[picks], 1e-300)).mean())
+    probs[picks] -= 1.0
+    probs /= n
+    return loss, probs.T @ feats, probs.sum(axis=0)
+
+
 def cross_entropy_and_grad(
     weights: np.ndarray,
     bias: np.ndarray,
@@ -344,13 +389,10 @@ def cross_entropy_and_grad(
     label_idx: np.ndarray,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Mean cross-entropy of softmax(features @ W.T + b) and its gradients."""
-    probs = _softmax(features @ weights.T + bias)
-    n = features.shape[0]
-    picked = probs[np.arange(n), label_idx]
-    loss = float(-np.log(np.maximum(picked, 1e-300)).mean())
-    probs[np.arange(n), label_idx] -= 1.0
-    probs /= n
-    return loss, probs.T @ features, probs.sum(axis=0)
+    n, c = features.shape[0], weights.shape[0]
+    return _loss_and_grad_into(
+        weights, bias, features, label_idx, np.arange(n), np.empty((n, c)), np.empty((c, n))
+    )
 
 
 def fit_classifier(
@@ -359,7 +401,11 @@ def fit_classifier(
     classes=None,
     config: ClassifierConfig = ClassifierConfig(),
 ) -> Classifier:
-    """Gradient-descent softmax regression; deterministic given the seed."""
+    """Gradient-descent softmax regression; deterministic given the seed.
+
+    Every epoch reuses two softmax buffers and updates the parameters in
+    place, so a fit allocates no (rows, classes) array per step.
+    """
     feats = np.asarray(features, dtype=np.float64)
     labels = list(labels)
     if feats.ndim != 2 or feats.shape[0] == 0:
@@ -374,29 +420,35 @@ def fit_classifier(
     y = np.asarray([index[l] for l in labels])
 
     n, v = feats.shape
-    weights = np.zeros((len(class_list), v))
-    bias = np.zeros(len(class_list))
+    c = len(class_list)
+    weights = np.zeros((c, v))
+    bias = np.zeros(c)
+    rows, buf, buf_t = np.arange(n), np.empty((n, c)), np.empty((c, n))
     rng = np.random.default_rng(config.seed)
     history = []
 
     def full_loss() -> float:
-        probs = _softmax(feats @ weights.T + bias)
-        return float(-np.log(np.maximum(probs[np.arange(n), y], 1e-300)).mean())
+        probs = _probs_into(weights, bias, feats, buf, buf_t)
+        return float(-np.log(np.maximum(probs[rows, y], 1e-300)).mean())
+
+    def step(x: np.ndarray, label_idx: np.ndarray) -> float:
+        nonlocal weights, bias  # updated in place
+        loss, gw, gb = _loss_and_grad_into(weights, bias, x, label_idx, rows, buf, buf_t)
+        gw *= config.learning_rate
+        weights -= gw
+        gb *= config.learning_rate
+        bias -= gb
+        return loss
 
     for epoch in range(config.epochs):
         if config.batch_size is None or config.batch_size >= n:
-            loss, gw, gb = cross_entropy_and_grad(weights, bias, feats, y)
-            history.append(loss)
-            weights = weights - config.learning_rate * gw
-            bias = bias - config.learning_rate * gb
+            history.append(step(feats, y))
         else:
             history.append(full_loss())
             order = rng.permutation(n)
             for start in range(0, n, config.batch_size):
                 chunk = order[start : start + config.batch_size]
-                _, gw, gb = cross_entropy_and_grad(weights, bias, feats[chunk], y[chunk])
-                weights = weights - config.learning_rate * gw
-                bias = bias - config.learning_rate * gb
+                step(feats[chunk], y[chunk])
         if not (np.isfinite(history[-1]) and np.isfinite(weights).all()):
             raise ValueError(
                 f"training diverged at epoch {epoch}; lower the learning rate"

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from hardboost.data import FeatureTable, SemanticTable, load_bundle
 from hardboost.models import (
     COVARIANCE_FLOOR,
+    _loss_and_grad_into,
     _ridge_solve,
+    _softmax,
     Classifier,
     ClassifierConfig,
     EmbeddingModel,
@@ -418,6 +420,24 @@ class TestClassifier:
         labels = ["a", "b"] * 5
         with pytest.raises(ValueError, match="epoch"):
             fit_classifier(feats, labels, config=ClassifierConfig(learning_rate=1e308))
+
+    def test_buffered_kernel_is_bit_equal_to_the_direct_form(self, rng):
+        """Row counts off every GEMM tile, and batches shorter than the buffers."""
+        for n, v, c, rows in [(997, 64, 33, 1000), (500, 24, 20, 500), (7, 3, 2, 40),
+                              (203, 16, 10, 216), (61, 512, 50, 61)]:
+            feats = rng.normal(size=(n, v))
+            y = rng.integers(0, c, size=n)
+            w, b = rng.normal(size=(c, v)) * 0.3, rng.normal(size=c)
+            probs = _softmax(feats @ w.T + b)
+            loss = float(-np.log(np.maximum(probs[np.arange(n), y], 1e-300)).mean())
+            probs[np.arange(n), y] -= 1.0
+            probs /= n
+            got = _loss_and_grad_into(
+                w, b, feats, y, np.arange(rows), np.full((rows, c), np.nan), np.empty((c, rows))
+            )
+            assert got[0] == loss
+            assert got[1].tobytes() == (probs.T @ feats).tobytes()
+            assert got[2].tobytes() == probs.sum(axis=0).tobytes()
 
     def test_minibatch_deterministic(self, rng):
         feats = rng.normal(size=(30, 3))
