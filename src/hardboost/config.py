@@ -115,7 +115,11 @@ def parse_run_config(obj: dict, source: str = "config") -> RunConfig:
     clf_obj = obj.get("classifier", {})
     if not isinstance(clf_obj, dict):
         raise ConfigError(f"{source}: classifier must be an object")
-    classifier = ClassifierConfig(**_field_args(ClassifierConfig, clf_obj, source, "classifier."))
+    clf_args = _field_args(ClassifierConfig, clf_obj, source, "classifier.")
+    try:
+        classifier = ClassifierConfig(**clf_args)
+    except ValueError as exc:  # a value of the right type but out of range
+        raise ConfigError(f"{source}: classifier.{exc}") from None
     return RunConfig(**top, classifier=classifier)
 
 

@@ -22,6 +22,7 @@ selected (test row, label) pairs, then label every unseen test row.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -314,6 +315,15 @@ class ClassifierConfig:
     epochs: int = 200
     batch_size: int | None = None  # None = full batch
     seed: int = 0
+
+    def __post_init__(self):
+        # each of these would train nothing, or train away from the labels
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs!r}")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ValueError(f"batch_size must be null or >= 1, got {self.batch_size!r}")
 
 
 @dataclass(frozen=True)

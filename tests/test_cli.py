@@ -33,9 +33,9 @@ RUN_CONFIGS = st.builds(
     ridge=_FLOATS,
     classifier=st.builds(
         ClassifierConfig,
-        learning_rate=_FLOATS,
-        epochs=st.integers(),
-        batch_size=st.none() | st.integers(),
+        learning_rate=st.floats(min_value=0, exclude_min=True, allow_infinity=False),
+        epochs=st.integers(min_value=1),
+        batch_size=st.none() | st.integers(min_value=1),
         seed=st.integers(min_value=0),
     ),
 )
@@ -205,6 +205,21 @@ class TestPipelines:
         assert code == 2
         assert "metric" in capsys.readouterr().err
         assert not (out / "predictions.csv").exists()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("batch_size", -3), ("epochs", -5), ("learning_rate", 0.0)],
+    )
+    def test_hars_rejects_a_classifier_that_cannot_train(
+        self, field, value, data_dir, tmp_path, capsys
+    ):
+        # each of these used to train nothing and report chance accuracy
+        cfg = write_config(tmp_path / "cfg.json", classifier={field: value})
+        out = tmp_path / "run"
+        code = dispatch(["hars", "--data", str(data_dir), "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert f"{cfg}: classifier.{field} must be" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_harst_reruns_are_byte_identical(self, data_dir, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", T=2, metric="cf", base_model="embedding")
@@ -480,6 +495,15 @@ class TestRunConfigFile:
     def test_values_are_never_reinterpreted(self, obj, key):
         with pytest.raises(ConfigError, match=rf"config: {key} must be"):
             parse_run_config(obj)
+
+    @pytest.mark.parametrize(
+        "clf, key",
+        [({"learning_rate": -0.1}, "learning_rate"), ({"batch_size": 0}, "batch_size"),
+         ({"epochs": 0}, "epochs")],
+    )
+    def test_classifier_values_out_of_range_are_rejected(self, clf, key):
+        with pytest.raises(ConfigError, match=rf"^config: classifier\.{key} must be"):
+            parse_run_config({"classifier": clf})
 
     def test_numbers_keep_their_meaning(self):
         config = parse_run_config({"alpha": 1, "classifier": {"batch_size": None}})

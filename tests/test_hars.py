@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hardboost import hars as hars_module
 from hardboost.benchmark import make_benchmark, standard_benchmark_spec
 from hardboost.data import ClassSplit, FeatureTable, SemanticTable
 from hardboost.hars import (
@@ -217,11 +218,14 @@ class TestRunHars:
         assert report is not None
 
     @pytest.mark.parametrize("run", [run_hars, run_generative_baseline])
-    def test_failures_name_the_stage(self, standard_benchmark, run):
+    def test_failures_name_the_stage(self, standard_benchmark, run, monkeypatch):
+        def diverging(*args, **kwargs):
+            raise ValueError("training diverged at epoch 0; lower the learning rate")
+
+        monkeypatch.setattr(hars_module, "fit_classifier", diverging)
         bundle, _, _ = standard_benchmark
-        bad = self.config(classifier=ClassifierConfig(learning_rate=float("nan")))
         with pytest.raises(PipelineError, match="fit-classifier"):
-            run(bundle, bad)
+            run(bundle, self.config())
 
     def test_improves_over_baseline_in_the_mean(self):
         diffs = []

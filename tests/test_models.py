@@ -439,6 +439,15 @@ class TestClassifier:
             assert got[1].tobytes() == (probs.T @ feats).tobytes()
             assert got[2].tobytes() == probs.sum(axis=0).tobytes()
 
+    @pytest.mark.parametrize(
+        "bad",
+        [{"learning_rate": 0.0}, {"learning_rate": -0.1}, {"learning_rate": float("nan")},
+         {"learning_rate": float("inf")}, {"epochs": 0}, {"batch_size": 0}, {"batch_size": -3}],
+    )
+    def test_config_rejects_settings_that_cannot_train(self, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            ClassifierConfig(**bad)
+
     def test_minibatch_deterministic(self, rng):
         feats = rng.normal(size=(30, 3))
         labels = [f"c{i % 3}" for i in range(30)]
