@@ -327,6 +327,12 @@ def identification_quality(
 GROUP_NAMES = ("easy-weighted", "hard-weighted", "uniform")
 
 
+def _split_evenly(total: int, classes: list[str]) -> dict[str, int]:
+    """``total`` rows over ``classes``: ``total // C`` each, one more for the first ``total % C``."""
+    share, extra = divmod(total, len(classes))
+    return {c: share + (i < extra) for i, c in enumerate(classes)}
+
+
 def contrastive_analysis(
     bundle: DatasetBundle,
     setting: str,
@@ -346,7 +352,10 @@ def contrastive_analysis(
     seen training set (n per emphasized-group class, n/2 uniform) and refits
     the base model with :func:`~hardboost.models.fit_predict_unseen`, the
     refit ``harst`` uses, so each added row counts once for either base.
-    All three groups have equal sample budgets when the halves are equal.
+    The uniform group's total, ``3*n*C // 2`` synthesized or ``n*C // 2`` real
+    rows over ``C`` classes, is split evenly, the first ``total % C`` classes
+    by id taking one row more, so all three groups have equal sample budgets
+    whenever the halves are equal, odd ``n`` included.
     Without ``oracle``, the halves come from the same refit with no added
     rows.
     """
@@ -370,7 +379,7 @@ def contrastive_analysis(
     group_counts = {
         "easy-weighted": {c: 2 * n if c in oracle.easy else n for c in classes},
         "hard-weighted": {c: 2 * n if c in oracle.hard else n for c in classes},
-        "uniform": {c: round(1.5 * n) for c in classes},
+        "uniform": _split_evenly(3 * n * len(classes) // 2, classes),
     }
     reports: dict[str, EvalReport] = {}
 
@@ -388,7 +397,7 @@ def contrastive_analysis(
     real_counts = {
         "easy-weighted": {c: n if c in oracle.easy else 0 for c in classes},
         "hard-weighted": {c: n if c in oracle.hard else 0 for c in classes},
-        "uniform": {c: round(n / 2) for c in classes},
+        "uniform": _split_evenly(n * len(classes) // 2, classes),
     }
     by_class = {c: bundle.test_unseen.rows_for(c) for c in classes}
     for name in GROUP_NAMES:

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hardboost.data import ClassSplit
+from hardboost import evaluation
+from hardboost.data import ClassSplit, load_bundle
 from hardboost.evaluation import (
+    GROUP_NAMES,
     HardEasyOracle,
     amr,
     apr,
@@ -16,7 +18,7 @@ from hardboost.evaluation import (
     identification_quality,
 )
 from hardboost.hardness import pseudo_label_histogram, rank_hard
-from hardboost.models import ClassifierConfig
+from hardboost.models import ClassifierConfig, fit_predict_unseen, sample_per_class
 
 SPLIT = ClassSplit(seen=frozenset({"s1", "s2"}), unseen=frozenset({"u1", "u2", "u3"}))
 
@@ -276,6 +278,35 @@ class TestContrastiveAnalysis:
         )
         assert set(reports) == {"easy-weighted", "hard-weighted", "uniform"}
         # 4 easy * 2n + 4 hard * n == 4 * n + 4 * 2n == 8 * 1.5n
+
+    @pytest.mark.parametrize("setting", ["inductive", "transductive"])
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_groups_add_equal_totals_for_odd_n(self, data_dir, setting, n, monkeypatch):
+        bundle = load_bundle(data_dir)
+        totals = {}
+        if setting == "inductive":
+            def recording(gen, semantics, counts, seed, *stream):
+                totals[stream[-1]] = sum(counts.values())
+                return sample_per_class(gen, semantics, counts, seed, *stream)
+
+            monkeypatch.setattr(evaluation, "sample_per_class", recording)
+        else:
+            def recording(bundle, selected, *args):
+                if args[-2] == "group-clf":
+                    totals[args[-1]] = len(selected)
+                return fit_predict_unseen(bundle, selected, *args)
+
+            monkeypatch.setattr(evaluation, "fit_predict_unseen", recording)
+        classes = sorted(bundle.split.unseen)
+        contrastive_analysis(
+            bundle, setting, n, seed=0,
+            base="generative" if setting == "inductive" else "embedding",
+            classifier=ClassifierConfig(epochs=2),
+            oracle=HardEasyOracle.from_accuracies({c: i for i, c in enumerate(classes)}),
+        )
+        # 4 emphasized classes * 2n + 4 others * n, or 4 emphasized classes * n
+        expected = 3 * n * 4 if setting == "inductive" else n * 4
+        assert totals == {name: expected for name in GROUP_NAMES}
 
     def test_rejects_empty_budget(self, standard_benchmark):
         bundle, _, _ = standard_benchmark
