@@ -496,15 +496,6 @@ class TestRunConfigFile:
         with pytest.raises(ConfigError, match=rf"config: {key} must be"):
             parse_run_config(obj)
 
-    @pytest.mark.parametrize(
-        "clf, key",
-        [({"learning_rate": -0.1}, "learning_rate"), ({"batch_size": 0}, "batch_size"),
-         ({"epochs": 0}, "epochs")],
-    )
-    def test_classifier_values_out_of_range_are_rejected(self, clf, key):
-        with pytest.raises(ConfigError, match=rf"^config: classifier\.{key} must be"):
-            parse_run_config({"classifier": clf})
-
     def test_numbers_keep_their_meaning(self):
         config = parse_run_config({"alpha": 1, "classifier": {"batch_size": None}})
         assert config.alpha == 1.0 and isinstance(config.alpha, float)
