@@ -8,7 +8,8 @@ case was added.  One more case hashes the synthesized rows themselves, the
 interpolated virtual rows with their mixing weights and sources and the
 generated unseen rows, since a small bit change there can leave every
 prediction unchanged.  For the same reason two cases hash the weights, bias
-and loss history of a full-batch and of a mini-batch classifier fit.  A changed
+and loss history of a full-batch and of a mini-batch classifier fit.  Two
+sweeps pin the text of the error rows that out-of-range grid points record.  A changed
 digest means changed output bytes, which must be declared.
 """
 
@@ -75,6 +76,17 @@ RUNS = {
     ),
 }
 
+# name -> (--pipeline, base config, grid, digest of sweep.csv); most points are
+# out of range or exceed the unseen class count, so this pins the error rows
+SWEEPS = {
+    "hars": ("hars", {"N_u": 20, "seed": 5, "classifier": _CLF},
+             {"K": [0, 2, 999], "beta": [0.5, 2]},
+             "8b38de435bd4cb6024f7224213c1f1453e1cbf638ae5bd79f2478d1b4ecf1429"),
+    "harst": ("harst", {**_EMBEDDING, "metric": "cf"},
+              {"K": [0, 2], "T": [0, 2]},
+              "7562046bf48649d66c06a3419d76fb41316a40594281007e9a13816e47b95b16"),
+}
+
 # batch 8, not 32: at 32 the baseline's predictions do not depend on its classifier seed
 BASELINE = "2117b778ed7a86c45905d5ba8d183f4b65f80cfb072f5caabe0de8d3625c61c9"
 
@@ -130,6 +142,20 @@ def test_contrastive_outputs_are_pinned(name, data_dir, tmp_path):
          "--n", "6", "--seed", "3", "--out", str(out)]
     ) == 0
     assert _sha(out / "contrastive.json") == digest
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_sweep_error_rows_are_pinned(name, data_dir, tmp_path):
+    pipeline, config, grid, digest = SWEEPS[name]
+    cfg, grid_path = tmp_path / "cfg.json", tmp_path / "grid.json"
+    cfg.write_text(json.dumps(config))
+    grid_path.write_text(json.dumps(grid))
+    out = tmp_path / "out"
+    assert dispatch(
+        ["sweep", "--data", str(data_dir), "--config", str(cfg), "--grid", str(grid_path),
+         "--pipeline", pipeline, "--out", str(out)]
+    ) == 0
+    assert _sha(out / "sweep.csv") == digest
 
 
 def test_generative_baseline_outputs_are_pinned(data_dir):
