@@ -17,8 +17,9 @@ import warnings
 import numpy as np
 
 from hardboost.benchmark import make_benchmark, standard_benchmark_spec
-from hardboost.hars import HarsConfig, run_generative_baseline, run_hars
-from hardboost.harst import HarstConfig, run_harst
+from hardboost.config import RunConfig
+from hardboost.hars import run_generative_baseline, run_hars
+from hardboost.harst import run_harst
 
 
 def main() -> int:
@@ -33,21 +34,21 @@ def main() -> int:
     rows = []
     for seed in range(args.seeds):
         bundle, _, _ = make_benchmark(standard_benchmark_spec(seed=seed))
-        hars_cfg = HarsConfig(
+        hars_cfg = RunConfig(
             hard_count=args.hard_count, alpha=2.0, beta=2.0, n_unseen=25,
             seed=seed, ridge=0.1,
         )
         _, base_report = run_generative_baseline(bundle, hars_cfg)
         _, _, hars_report = run_hars(bundle, hars_cfg)
 
-        harst_cfg = HarstConfig(
+        harst_cfg = RunConfig(
             iterations=args.iterations, hard_count=args.hard_count,
-            metric="cf", base="embedding", seed=seed, ridge=0.1,
+            metric="cf", base_model="embedding", n_unseen=100, seed=seed, ridge=0.1,
         )
         _, trace = run_harst(bundle, harst_cfg)
-        rs_cfg = HarstConfig(
-            iterations=args.iterations, hard_count=args.hard_count,
-            metric="cf", base="embedding", selection="rs", seed=seed, ridge=0.1,
+        rs_cfg = RunConfig(
+            iterations=args.iterations, hard_count=args.hard_count, metric="cf",
+            base_model="embedding", n_unseen=100, selection="rs", seed=seed, ridge=0.1,
         )
         _, rs_trace = run_harst(bundle, rs_cfg)
 

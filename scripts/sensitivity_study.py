@@ -15,8 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from hardboost.benchmark import make_benchmark, standard_benchmark_spec
-from hardboost.hars import HarsConfig, run_hars
-from hardboost.harst import HarstConfig, run_harst
+from hardboost.config import RunConfig
+from hardboost.hars import run_hars
+from hardboost.harst import run_harst
 
 GRIDS = {
     "K": [1, 2, 3, 4, 5, 6],
@@ -29,16 +30,17 @@ GRIDS = {
 def hars_point(bundle, seed, **overrides):
     params = dict(hard_count=4, alpha=2.0, beta=2.0, n_unseen=25, seed=seed, ridge=0.1)
     params.update(overrides)
-    _, _, report = run_hars(bundle, HarsConfig(**params))
+    _, _, report = run_hars(bundle, RunConfig(**params))
     return report.acc_u
 
 
 def harst_point(bundle, seed, **overrides):
     params = dict(
-        iterations=6, hard_count=4, metric="cf", base="embedding", seed=seed, ridge=0.1
+        iterations=6, hard_count=4, metric="cf", base_model="embedding", n_unseen=100,
+        seed=seed, ridge=0.1,
     )
     params.update(overrides)
-    _, trace = run_harst(bundle, HarstConfig(**params))
+    _, trace = run_harst(bundle, RunConfig(**params))
     return trace.records[-1].evaluation.acc_u
 
 

@@ -28,11 +28,9 @@ from .models import (
     ClassifierConfig,
     EmbeddingModel,
     GenerativeModel,
-    classify_embedding,
     fit_classifier,
     fit_embedding,
     fit_generator,
-    predict_classifier,
     sample_generator,
     sample_per_class,
 )
@@ -48,9 +46,9 @@ from .evaluation import (
     harmonic_mean,
     identification_quality,
 )
-from .hars import HarsConfig, SynthSet, run_generative_baseline, run_hars, synthesize_hard_seen, synthesize_unseen, support_seen_classes
+from .config import RunConfig
+from .hars import SynthSet, run_generative_baseline, run_hars, synthesize_hard_seen, synthesize_unseen, support_seen_classes
 from .harst import (
-    HarstConfig,
     IterationTrace,
     random_selection_baseline,
     run_harst,

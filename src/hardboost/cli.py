@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import __version__
 from .benchmark import BenchmarkSpec, make_benchmark
-from .config import RunConfig, _checked, load_run_config, parse_run_config
+from .config import RunConfig, _checked, _fields_by_key, load_run_config, require_frequency_metric
 from .data import (
     ConfigError,
     DataError,
@@ -44,7 +44,7 @@ from .hardness import (
     ss_scores,
 )
 from .hars import PipelineError, run_hars
-from .harst import METRICS, run_harst
+from .harst import run_harst
 
 
 class _UsageError(Exception):
@@ -285,7 +285,7 @@ def _cmd_hars(args) -> int:
     started = time.monotonic()
     bundle = load_bundle(args.data)
     config = _resolved_config(args)
-    preds, hardness, report = run_hars(bundle, config.hars())
+    preds, hardness, report = run_hars(bundle, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_predictions(preds, out / "predictions.csv")
@@ -322,7 +322,7 @@ def _cmd_harst(args) -> int:
     started = time.monotonic()
     bundle = load_bundle(args.data)
     config = _resolved_config(args)
-    preds, trace = run_harst(bundle, config.harst())
+    preds, trace = run_harst(bundle, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_predictions(preds, out / "predictions.csv")
@@ -402,21 +402,29 @@ def _cmd_sweep(args) -> int:
     unknown = sorted(set(grid) - _SWEEP_PARAMS)
     if unknown:
         raise ConfigError(f"{args.grid}: cannot sweep over {unknown[0]!r}")
+    if args.pipeline == "harst":
+        require_frequency_metric(base_config)  # the grid cannot override the metric
 
-    if args.pipeline == "harst" and base_config.metric not in METRICS:
-        base_config.harst()  # raises: the grid cannot override the metric
     keys = sorted(grid)
-    points = list(itertools.product(*(grid[k] for k in keys)))
+    by_key = _fields_by_key(RunConfig)
+    axes = []
+    for key in keys:
+        values = grid[key]
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"{args.grid}: {key} must be a non-empty array, got {values!r}")
+        # each value beside its checked form: a row shows the value as the grid wrote it
+        axes.append([(v, _checked(key, v, by_key[key].type, str(args.grid))) for v in values])
+    points = list(itertools.product(*axes))
 
     def run_point(point):
-        overrides = dict(zip(keys, point))
-        merged = {**base_config.to_json_dict(), **overrides}
-        config = parse_run_config(merged, source="sweep point")
         try:
+            config = dataclasses.replace(
+                base_config, **{by_key[key].name: v for key, (_, v) in zip(keys, point)}
+            )
             if args.pipeline == "hars":
-                _, _, report = run_hars(bundle, config.hars())
+                _, _, report = run_hars(bundle, config)
             else:
-                _, trace = run_harst(bundle, config.harst())
+                _, trace = run_harst(bundle, config)
                 report = trace.records[-1].evaluation
             if report is None:
                 return None, "test rows are unlabeled"
@@ -432,7 +440,7 @@ def _cmd_sweep(args) -> int:
     lines = [",".join(keys) + ",acc_u,error"]
     for point, (acc, err) in zip(points, results):
         acc_str = "" if acc is None else repr(acc)
-        lines.append(",".join(str(v) for v in point) + f",{acc_str},{err}")
+        lines.append(",".join(str(raw) for raw, _ in point) + f",{acc_str},{err}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     atomic_write_text(out / "sweep.csv", "\n".join(lines) + "\n")

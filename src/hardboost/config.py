@@ -8,17 +8,20 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from .data import ConfigError
-from .hars import HarsConfig
-from .harst import BASE_MODELS, LABEL_SPACES, METRICS, SELECTIONS, HarstConfig
 from .models import ClassifierConfig
+
+METRICS = ("cf", "pncf")  # the frequency metrics, the only ones harst takes
+BASE_MODELS = ("embedding", "generative")
+SELECTIONS = ("cfbs", "rs")  # "rs" is the size-matched random baseline
+LABEL_SPACES = ("unseen", "all")  # "all" is the compound generalized setting
 
 # config-file keys of the fields whose file key is not the field name
 _FILE_KEYS = {"hard_count": "K", "iterations": "T", "support_count": "S", "n_unseen": "N_u"}
 _CHOICES = {
-    "metric": {"ss", *METRICS},
-    "base_model": set(BASE_MODELS),
-    "selection": set(SELECTIONS),
-    "label_space": set(LABEL_SPACES),
+    "metric": ("ss", *METRICS),
+    "base_model": BASE_MODELS,
+    "selection": SELECTIONS,
+    "label_space": LABEL_SPACES,
 }
 # JSON values each field annotation accepts; bools are never numbers here
 _JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
@@ -26,21 +29,46 @@ _JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Union of every pipeline knob, as read from a config file."""
+    """Every pipeline knob, as read from a config file; each pipeline reads
+    the fields it needs, and every field is checked whatever the pipeline."""
 
-    hard_count: int = 2
-    iterations: int = 6
-    alpha: float = 2.0
-    beta: float = 2.0
-    support_count: int = 2
+    hard_count: int = 2  # K, hard classes per identification
+    iterations: int = 6  # T, harst self-training iterations
+    alpha: float = 2.0  # interpolated rows per support training sample
+    beta: float = 2.0  # hard-class oversampling factor for generated rows
+    support_count: int = 2  # S, support seen classes per hard class
+    # N_u, generated rows per easy unseen class (hars), or per class for the
+    # generative base (harst)
     n_unseen: int = 300
     seed: int = 0
-    metric: str = "ss"
-    base_model: str = "generative"
-    selection: str = "cfbs"
-    label_space: str = "unseen"
+    metric: str = "ss"  # "ss" or one of METRICS; harst takes only METRICS
+    base_model: str = "generative"  # harst's base, one of BASE_MODELS
+    selection: str = "cfbs"  # one of SELECTIONS
+    label_space: str = "unseen"  # one of LABEL_SPACES
     ridge: float = 0.1
     classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
+
+    def __post_init__(self):
+        # iterations, then hard_count, first: sweeps record the first failure
+        if self.iterations < 1:
+            raise ConfigError("iterations must be >= 1")
+        if self.hard_count < 1:
+            raise ConfigError("hard_count must be >= 1")
+        if self.support_count < 1:
+            raise ConfigError("support_count must be >= 1")
+        if self.alpha < 0:
+            raise ConfigError("alpha must be >= 0")
+        if self.beta < 1:
+            raise ConfigError("beta must be >= 1")
+        if self.n_unseen < 1:
+            raise ConfigError("n_unseen must be >= 1")
+        for name, choices in _CHOICES.items():
+            if getattr(self, name) not in choices:
+                raise ConfigError(f"{name} must be one of {sorted(choices)}")
+        if self.classifier.seed != 0:
+            raise ConfigError(
+                "classifier.seed must be 0: each classifier's seed derives from seed"
+            )
 
     def with_seed(self, seed: int) -> "RunConfig":
         return replace(self, seed=seed)
@@ -54,33 +82,12 @@ class RunConfig:
         canon = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
-    def hars(self) -> HarsConfig:
-        return HarsConfig(
-            hard_count=self.hard_count,
-            support_count=self.support_count,
-            alpha=self.alpha,
-            beta=self.beta,
-            n_unseen=self.n_unseen,
-            seed=self.seed,
-            ridge=self.ridge,
-            classifier=self.classifier,
-        )
 
-    def harst(self) -> HarstConfig:
-        if self.metric not in METRICS:
-            raise ConfigError(f"harst takes metric {' or '.join(METRICS)}, not {self.metric!r}")
-        return HarstConfig(
-            iterations=self.iterations,
-            hard_count=self.hard_count,
-            metric=self.metric,
-            base=self.base_model,
-            selection=self.selection,
-            label_space=self.label_space,
-            n_unseen=self.n_unseen,
-            seed=self.seed,
-            ridge=self.ridge,
-            classifier=self.classifier,
-        )
+def require_frequency_metric(config: RunConfig) -> None:
+    """The one pipeline-specific rule: harst identifies hard classes by
+    prediction frequency, so it rejects the semantic metric ``ss``."""
+    if config.metric not in METRICS:
+        raise ConfigError(f"harst takes metric {' or '.join(METRICS)}, not {config.metric!r}")
 
 
 def _checked(key: str, value, kind: str, source: str):
@@ -90,15 +97,18 @@ def _checked(key: str, value, kind: str, source: str):
     kind = kind.removesuffix(" | None")
     if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
         raise ConfigError(f"{source}: {key} must be of type {kind}, got {value!r}")
-    if key in _CHOICES and value not in _CHOICES[key]:
-        raise ConfigError(f"{source}: {key} must be one of {sorted(_CHOICES[key])}")
     return float(value) if kind == "float" else value
+
+
+def _fields_by_key(cls) -> dict:
+    """Config-file key -> field of dataclass ``cls``."""
+    return {_FILE_KEYS.get(f.name, f.name): f for f in fields(cls)}
 
 
 def _field_args(cls, obj: dict, source: str, prefix: str = "") -> dict:
     """Constructor arguments of dataclass ``cls`` from the file object ``obj``;
     absent keys keep their defaults."""
-    by_key = {_FILE_KEYS.get(f.name, f.name): f for f in fields(cls)}
+    by_key = _fields_by_key(cls)
     unknown = sorted(set(obj) - set(by_key))
     if unknown:
         raise ConfigError(f"{source}: unknown key {prefix + unknown[0]!r}")
@@ -120,7 +130,10 @@ def parse_run_config(obj: dict, source: str = "config") -> RunConfig:
         classifier = ClassifierConfig(**clf_args)
     except ValueError as exc:  # a value of the right type but out of range
         raise ConfigError(f"{source}: classifier.{exc}") from None
-    return RunConfig(**top, classifier=classifier)
+    try:
+        return RunConfig(**top, classifier=classifier)
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
 
 
 def load_run_config(path) -> RunConfig:

@@ -12,10 +12,11 @@ arrays; the generated unseen rows as plain (features, labels).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import RunConfig
 from .data import (
     ClassSplit,
     DatasetBundle,
@@ -26,7 +27,6 @@ from .data import (
 from .evaluation import EvalReport, evaluate_if_labeled
 from .hardness import HardnessReport, cosine_distance, ss_scores
 from .models import (
-    ClassifierConfig,
     fit_classifier,
     fit_generator,
     predict_classifier_batch,
@@ -46,30 +46,6 @@ def _stage(name: str, fn, *args, **kwargs):
         raise
     except Exception as exc:
         raise PipelineError(f"stage {name!r} failed: {exc}") from exc
-
-
-@dataclass(frozen=True)
-class HarsConfig:
-    hard_count: int
-    support_count: int = 2
-    alpha: float = 2.0  # interpolated rows per support training sample
-    beta: float = 2.0  # hard-class oversampling factor for generated rows
-    n_unseen: int = 300  # generated rows per easy unseen class
-    seed: int = 0
-    ridge: float = 0.1
-    classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
-
-    def __post_init__(self):
-        if self.hard_count < 1:
-            raise ValueError("hard_count must be >= 1")
-        if self.support_count < 1:
-            raise ValueError("support_count must be >= 1")
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
-        if self.beta < 1:
-            raise ValueError("beta must be >= 1")
-        if self.n_unseen < 1:
-            raise ValueError("n_unseen must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -195,7 +171,7 @@ def synthesize_unseen(
 
 
 def _generate_and_classify(
-    bundle: DatasetBundle, config: HarsConfig, hard, interp: SynthSet | None
+    bundle: DatasetBundle, config: RunConfig, hard, interp: SynthSet | None
 ) -> tuple[list[str], EvalReport | None]:
     """Fit the generator on seen plus ``interp`` rows, oversample ``hard``, classify."""
     gen = _stage(
@@ -231,16 +207,17 @@ def _generate_and_classify(
 
 
 def run_generative_baseline(
-    bundle: DatasetBundle, config: HarsConfig
+    bundle: DatasetBundle, config: RunConfig
 ) -> tuple[list[str], EvalReport | None]:
     """Vanilla generate-then-classify pipeline: :func:`run_hars` without the
-    hard-class stages, so ``hard_count``, ``support_count``, ``alpha`` and ``beta`` go unused."""
+    hard-class stages, so of the :class:`~hardboost.config.RunConfig` it reads
+    only ``n_unseen``, ``seed``, ``ridge`` and ``classifier``."""
     bundle = _stage("validate", validate_bundle, bundle)
     return _generate_and_classify(bundle, config, (), None)
 
 
 def run_hars(
-    bundle: DatasetBundle, config: HarsConfig
+    bundle: DatasetBundle, config: RunConfig
 ) -> tuple[list[str], HardnessReport, EvalReport | None]:
     """Full inductive pipeline: identify hard classes, synthesize virtual
     classes for the generator, oversample hard classes for the classifier,

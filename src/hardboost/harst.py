@@ -12,47 +12,15 @@ less.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
+from .config import RunConfig, require_frequency_metric
 from .data import DatasetBundle, validate_bundle
 from .evaluation import EvalReport, evaluate_if_labeled
 from .hardness import HardnessReport, estimate_class_priors, frequency_hardness
 from .hars import _stage
-from .models import ClassifierConfig, fit_predict_unseen
+from .models import fit_predict_unseen
 from .rng import child_seed, substream
-
-METRICS = ("cf", "pncf")
-BASE_MODELS = ("embedding", "generative")
-SELECTIONS = ("cfbs", "rs")  # "rs" is the size-matched random baseline
-LABEL_SPACES = ("unseen", "all")  # "all" is the compound generalized setting
-
-
-@dataclass(frozen=True)
-class HarstConfig:
-    iterations: int
-    hard_count: int
-    metric: str = "cf"  # one of METRICS
-    base: str = "embedding"  # one of BASE_MODELS
-    selection: str = "cfbs"  # one of SELECTIONS
-    label_space: str = "unseen"  # one of LABEL_SPACES
-    n_unseen: int = 100  # generated rows per class for the generative base
-    seed: int = 0
-    ridge: float = 0.1
-    classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
-
-    def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.hard_count < 1:
-            raise ValueError("hard_count must be >= 1")
-        if self.metric not in METRICS:
-            raise ValueError(f"unknown metric {self.metric!r}")
-        if self.base not in BASE_MODELS:
-            raise ValueError(f"unknown base model {self.base!r}")
-        if self.selection not in SELECTIONS:
-            raise ValueError(f"unknown selection {self.selection!r}")
-        if self.label_space not in LABEL_SPACES:
-            raise ValueError(f"unknown label space {self.label_space!r}")
 
 
 def selection_quota(t: int, m: int, total_iterations: int, hard_count: int) -> int:
@@ -151,7 +119,7 @@ class IterationTrace:
 
 
 def run_harst(
-    bundle: DatasetBundle, config: HarstConfig
+    bundle: DatasetBundle, config: RunConfig
 ) -> tuple[list[str], IterationTrace]:
     """Iterative self-training with hardness-based selection.
 
@@ -161,6 +129,7 @@ def run_harst(
     the seen rows plus that subset, and re-predicts.  Returns the final
     pseudo labels and the full per-iteration trace.
     """
+    require_frequency_metric(config)
     bundle = _stage("validate", validate_bundle, bundle)
     if config.hard_count > bundle.split.num_unseen:
         raise ValueError(
@@ -175,7 +144,7 @@ def run_harst(
     def fit_predict(selected, t):
         clf_seed = child_seed(child_seed(config.seed, "refit", t), "classifier")
         return fit_predict_unseen(
-            bundle, selected, config.base, candidates, config.ridge, config.n_unseen,
+            bundle, selected, config.base_model, candidates, config.ridge, config.n_unseen,
             replace(config.classifier, seed=clf_seed), config.seed, "refit-gen", t,
         )
 

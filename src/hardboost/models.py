@@ -182,16 +182,10 @@ def nearest_rows(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return picks
 
 
-def classify_embedding(
-    model: EmbeddingModel, x: np.ndarray, candidates, semantics: SemanticTable
-) -> str:
-    """Nearest mapped prototype among the candidates; ties break on class id."""
-    return classify_embedding_batch(model, np.reshape(x, (1, -1)), candidates, semantics)[0]
-
-
 def classify_embedding_batch(
     model: EmbeddingModel, features: np.ndarray, candidates, semantics: SemanticTable
 ) -> list[str]:
+    """Nearest mapped prototype among the candidates; ties break on class id."""
     cand, protos = _prototype_matrix(model, candidates, semantics)
     return [cand[i] for i in nearest_rows(features, protos)]
 
@@ -481,12 +475,8 @@ def predict_proba(model: Classifier, features: np.ndarray) -> np.ndarray:
     return _softmax(model.logits(features))
 
 
-def predict_classifier(model: Classifier, x: np.ndarray) -> str:
-    """Highest-logit class; ties break on class id (classes are sorted)."""
-    return predict_classifier_batch(model, np.reshape(x, (1, -1)))[0]
-
-
 def predict_classifier_batch(model: Classifier, features: np.ndarray) -> list[str]:
+    """Highest-logit class; ties break on class id (classes are sorted)."""
     picks = model.logits(features).argmax(axis=1)
     return [model.classes[i] for i in picks]
 

@@ -20,6 +20,7 @@ from hardboost.benchmark import (
     unseen_class_ids,
 )
 from hardboost.cli import dispatch
+from hardboost.config import RunConfig
 from hardboost.data import ClassSplit, SemanticTable
 from hardboost.evaluation import amr, apr, evaluate, harmonic_mean
 from hardboost.hardness import (
@@ -29,13 +30,12 @@ from hardboost.hardness import (
     ss_scores,
 )
 from hardboost.hars import (
-    HarsConfig,
     run_generative_baseline,
     run_hars,
     synthesize_hard_seen,
     synthesize_unseen,
 )
-from hardboost.harst import HarstConfig, run_harst, select_cfbs, selection_quota
+from hardboost.harst import run_harst, select_cfbs, selection_quota
 from hardboost.models import (
     classify_embedding_batch,
     cross_entropy_and_grad,
@@ -213,7 +213,7 @@ def alpha_seed(alpha: float) -> int:
 def test_05_reduction_properties():
     """Disabled boosting reduces exactly to the plain pipelines."""
     bundle, _, _ = make_benchmark(standard_benchmark_spec(seed=6))
-    cfg = HarsConfig(hard_count=4, alpha=0.0, beta=1.0, n_unseen=25, seed=6, ridge=0.1)
+    cfg = RunConfig(hard_count=4, alpha=0.0, beta=1.0, n_unseen=25, seed=6, ridge=0.1)
     hars_preds, _, _ = run_hars(bundle, cfg)
     base_preds, _ = run_generative_baseline(bundle, cfg)
     hars_reduction = hars_preds == base_preds
@@ -229,8 +229,9 @@ def test_05_reduction_properties():
         semantics=bundle.semantics,
         split=bundle.split,
     )
-    tiny = HarstConfig(
-        iterations=1, hard_count=4, metric="cf", base="embedding", seed=6, ridge=0.1
+    tiny = RunConfig(
+        iterations=1, hard_count=4, metric="cf", base_model="embedding", n_unseen=100,
+        seed=6, ridge=0.1,
     )
     with pytest.warns(UserWarning):
         preds, trace = run_harst(small, tiny)
@@ -249,18 +250,19 @@ def test_06_improvement_direction():
     hars_diffs, gains, selection_diffs = [], [], []
     for seed in range(10):
         bundle, _, _ = make_benchmark(standard_benchmark_spec(seed=seed))
-        cfg = HarsConfig(hard_count=4, alpha=2.0, beta=2.0, n_unseen=25, seed=seed, ridge=0.1)
+        cfg = RunConfig(hard_count=4, alpha=2.0, beta=2.0, n_unseen=25, seed=seed, ridge=0.1)
         _, base_report = run_generative_baseline(bundle, cfg)
         _, _, hars_report = run_hars(bundle, cfg)
         hars_diffs.append(hars_report.acc_u - base_report.acc_u)
 
-        tcfg = HarstConfig(
-            iterations=6, hard_count=4, metric="cf", base="embedding", seed=seed, ridge=0.1
+        tcfg = RunConfig(
+            iterations=6, hard_count=4, metric="cf", base_model="embedding", n_unseen=100,
+            seed=seed, ridge=0.1,
         )
         _, trace = run_harst(bundle, tcfg)
         gains.append(trace.records[-1].evaluation.acc_u - trace.initial_evaluation.acc_u)
-        rcfg = HarstConfig(
-            iterations=6, hard_count=4, metric="cf", base="embedding",
+        rcfg = RunConfig(
+            iterations=6, hard_count=4, metric="cf", base_model="embedding", n_unseen=100,
             selection="rs", seed=seed, ridge=0.1,
         )
         _, rs_trace = run_harst(bundle, rcfg)

@@ -12,19 +12,19 @@ from hypothesis import strategies as st
 import hardboost
 from hardboost import hars as hars_module
 from hardboost.cli import dispatch, load_predictions
-from hardboost.config import RunConfig, load_run_config, parse_run_config
+from hardboost.config import RunConfig, load_run_config, parse_run_config, require_frequency_metric
 from hardboost.data import ConfigError
 from hardboost.models import ClassifierConfig
 
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 RUN_CONFIGS = st.builds(
     RunConfig,
-    hard_count=st.integers(),
-    iterations=st.integers(),
-    alpha=_FLOATS,
-    beta=_FLOATS,
-    support_count=st.integers(),
-    n_unseen=st.integers(),
+    hard_count=st.integers(min_value=1),
+    iterations=st.integers(min_value=1),
+    alpha=st.floats(min_value=0, allow_infinity=False),
+    beta=st.floats(min_value=1, allow_infinity=False),
+    support_count=st.integers(min_value=1),
+    n_unseen=st.integers(min_value=1),
     seed=st.integers(min_value=0),
     metric=st.sampled_from(["ss", "cf", "pncf"]),
     base_model=st.sampled_from(["embedding", "generative"]),
@@ -36,7 +36,7 @@ RUN_CONFIGS = st.builds(
         learning_rate=st.floats(min_value=0, exclude_min=True, allow_infinity=False),
         epochs=st.integers(min_value=1),
         batch_size=st.none() | st.integers(min_value=1),
-        seed=st.integers(min_value=0),
+        seed=st.just(0),
     ),
 )
 
@@ -219,6 +219,39 @@ class TestPipelines:
         code = dispatch(["hars", "--data", str(data_dir), "--config", str(cfg), "--out", str(out)])
         assert code == 2
         assert f"{cfg}: classifier.{field} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, key, value, message",
+        [
+            ("hars", "T", 0, "iterations must be >= 1"),
+            ("hars", "K", 0, "hard_count must be >= 1"),
+            ("harst", "S", 0, "support_count must be >= 1"),
+            ("harst", "alpha", -1.0, "alpha must be >= 0"),
+            ("harst", "beta", 0.5, "beta must be >= 1"),
+            ("harst", "N_u", 0, "n_unseen must be >= 1"),
+        ],
+    )
+    def test_every_field_is_checked_whatever_the_pipeline(
+        self, command, key, value, message, data_dir, tmp_path, capsys
+    ):
+        cfg = write_config(tmp_path / "cfg.json", metric="cf", base_model="embedding",
+                           **{key: value})
+        out = tmp_path / "run"
+        code = dispatch([command, "--data", str(data_dir), "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert f"error: {cfg}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["hars", "harst"])
+    def test_classifier_seed_is_rejected(self, command, data_dir, tmp_path, capsys):
+        # each classifier's seed derives from seed, so this key reached no fit
+        cfg = write_config(tmp_path / "cfg.json", T=2, metric="cf", base_model="embedding",
+                           classifier={"seed": 9})
+        out = tmp_path / "run"
+        code = dispatch([command, "--data", str(data_dir), "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert f"{cfg}: classifier.seed must be 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_harst_reruns_are_byte_identical(self, data_dir, tmp_path):
@@ -418,6 +451,35 @@ class TestSweep:
         assert "metric" in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
 
+    @pytest.mark.parametrize(
+        "grid", [{"beta": 2.0}, {"beta": []}, {"K": [2, 2.5]}],
+        ids=["not-an-array", "empty", "wrong-type"],
+    )
+    def test_malformed_grid_is_rejected_before_any_point(self, grid, data_dir, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json")
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps(grid))
+        out = tmp_path / "sweep"
+        assert dispatch(
+            ["sweep", "--data", str(data_dir), "--config", str(cfg),
+             "--grid", str(grid_path), "--pipeline", "hars", "--out", str(out)]
+        ) == 2
+        assert f"error: {grid_path}: {next(iter(grid))} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_field_the_pipeline_ignores_is_still_checked(self, data_dir, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json")
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"T": [0, 3]}))
+        out = tmp_path / "sweep"
+        assert dispatch(
+            ["sweep", "--data", str(data_dir), "--config", str(cfg),
+             "--grid", str(grid), "--pipeline", "hars", "--out", str(out)]
+        ) == 0
+        lines = (out / "sweep.csv").read_text().strip().splitlines()
+        assert lines[1] == "0,,iterations must be >= 1"
+        assert lines[2].split(",")[2] == ""
+
     def test_unknown_grid_parameter(self, data_dir, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
         grid = tmp_path / "grid.json"
@@ -447,8 +509,8 @@ class TestRunConfigFile:
 
     def test_ss_metric_is_not_a_harst_metric(self):
         with pytest.raises(ConfigError, match="metric"):
-            parse_run_config({}).harst()
-        assert parse_run_config({"metric": "pncf"}).harst().metric == "pncf"
+            require_frequency_metric(parse_run_config({}))
+        require_frequency_metric(parse_run_config({"metric": "pncf"}))
 
     def test_bad_metric_rejected(self):
         with pytest.raises(ConfigError, match="metric"):

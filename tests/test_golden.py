@@ -24,7 +24,8 @@ import pytest
 from hardboost.cli import dispatch
 from hardboost.data import load_bundle
 from hardboost.hardness import HardnessReport, ss_scores
-from hardboost.hars import HarsConfig, run_generative_baseline, synthesize_hard_seen, synthesize_unseen
+from hardboost.config import RunConfig
+from hardboost.hars import run_generative_baseline, synthesize_hard_seen, synthesize_unseen
 from hardboost.models import ClassifierConfig, fit_classifier, fit_generator
 
 # mini-batches, so the outputs depend on each classifier's seed
@@ -159,7 +160,7 @@ def test_sweep_error_rows_are_pinned(name, data_dir, tmp_path):
 
 
 def test_generative_baseline_outputs_are_pinned(data_dir):
-    config = HarsConfig(
+    config = RunConfig(
         hard_count=4, n_unseen=20, seed=5,
         classifier=ClassifierConfig(epochs=10, batch_size=8),
     )

@@ -3,9 +3,9 @@ import pytest
 
 from hardboost import hars as hars_module
 from hardboost.benchmark import make_benchmark, standard_benchmark_spec
+from hardboost.config import RunConfig
 from hardboost.data import ClassSplit, FeatureTable, SemanticTable
 from hardboost.hars import (
-    HarsConfig,
     PipelineError,
     SynthSet,
     run_generative_baseline,
@@ -179,7 +179,7 @@ class TestRunHars:
             classifier=ClassifierConfig(),
         )
         fields.update(overrides)
-        return HarsConfig(**fields)
+        return RunConfig(**fields)
 
     def test_deterministic_per_seed(self, standard_benchmark):
         bundle, _, _ = standard_benchmark

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardboost.benchmark import make_benchmark, standard_benchmark_spec
-from hardboost.data import ClassSplit
+from hardboost.config import RunConfig
+from hardboost.data import ClassSplit, ConfigError
 from hardboost.harst import (
-    HarstConfig,
     random_selection_baseline,
     run_harst,
     select_cfbs,
@@ -133,13 +133,19 @@ class TestRunHarst:
             iterations=6,
             hard_count=4,
             metric="cf",
-            base="embedding",
+            base_model="embedding",
+            n_unseen=100,
             seed=seed,
             ridge=0.1,
             classifier=ClassifierConfig(),
         )
         fields.update(overrides)
-        return HarstConfig(**fields)
+        return RunConfig(**fields)
+
+    def test_default_metric_is_rejected(self, standard_benchmark):
+        # the shared default metric is ss, which harst does not take
+        with pytest.raises(ConfigError, match="metric"):
+            run_harst(standard_benchmark[0], RunConfig())
 
     def test_trace_shape_and_quota_growth(self, standard_benchmark):
         bundle, _, _ = standard_benchmark
@@ -160,9 +166,9 @@ class TestRunHarst:
     @pytest.mark.filterwarnings("ignore:classes with no evaluated samples")
     def test_zero_quota_reduces_to_inductive(self, standard_benchmark):
         bundle, _, _ = standard_benchmark
-        tiny = HarstConfig(
-            iterations=1, hard_count=4, metric="cf", base="embedding", seed=0,
-            ridge=0.1,
+        tiny = RunConfig(
+            iterations=1, hard_count=4, metric="cf", base_model="embedding", n_unseen=100,
+            seed=0, ridge=0.1,
         )
         # 3 unseen rows with K=4 force quota(1) = floor(3/4) = 0
         from hardboost.data import DatasetBundle, FeatureTable
@@ -262,7 +268,7 @@ class TestRunHarst:
     def test_generative_base_runs(self, standard_benchmark):
         bundle, _, _ = standard_benchmark
         cfg = self.config(
-            iterations=2, base="generative", n_unseen=20,
+            iterations=2, base_model="generative", n_unseen=20,
             classifier=ClassifierConfig(epochs=60),
         )
         preds, trace = run_harst(bundle, cfg)
@@ -284,7 +290,7 @@ class TestRunHarst:
         # every test row is predicted as a seen class, so both pools are empty
         bundle, _, _ = standard_benchmark
         cfg = self.config(
-            iterations=2, hard_count=2, base="generative", selection="rs",
+            iterations=2, hard_count=2, base_model="generative", selection="rs",
             label_space="all", n_unseen=20, classifier=ClassifierConfig(epochs=40),
         )
         with pytest.warns(UserWarning, match="pseudo-label pool is empty"):
@@ -296,7 +302,7 @@ class TestRunHarst:
         # the CFBS hard-class pools are empty here, but the ``rs`` arm never draws from them
         bundle, _, _ = standard_benchmark
         cfg = self.config(
-            iterations=2, hard_count=2, base="generative", selection="rs",
+            iterations=2, hard_count=2, base_model="generative", selection="rs",
             label_space="all", n_unseen=20, classifier=ClassifierConfig(epochs=40),
         )
         with warnings.catch_warnings(record=True) as caught:

@@ -16,7 +16,6 @@ from hardboost.models import (
     ClassifierConfig,
     EmbeddingModel,
     SingularFitError,
-    classify_embedding,
     classify_embedding_batch,
     cross_entropy_and_grad,
     fit_classifier,
@@ -25,7 +24,6 @@ from hardboost.models import (
     fit_generator,
     fit_predict_unseen,
     nearest_rows,
-    predict_classifier,
     predict_classifier_batch,
     predict_proba,
     sample_generator,
@@ -119,11 +117,11 @@ class TestClassifyEmbedding:
     def test_exact_prototype_hit(self):
         model = self.fitted()
         proto_b = model.prototype(self.SEM["b"])
-        assert classify_embedding(model, proto_b, {"a", "b", "c"}, self.SEM) == "b"
+        assert classify_embedding_batch(model, [proto_b], {"a", "b", "c"}, self.SEM) == ["b"]
 
     def test_single_candidate(self):
         model = self.fitted()
-        assert classify_embedding(model, [9.0, 9.0], {"c"}, self.SEM) == "c"
+        assert classify_embedding_batch(model, [[9.0, 9.0]], {"c"}, self.SEM) == ["c"]
 
     def test_matches_exhaustive_scan(self, rng):
         model = self.fitted()
@@ -131,19 +129,19 @@ class TestClassifyEmbedding:
             x = rng.normal(size=2) * 3
             cand = sorted({"a", "b", "c"})
             dists = [np.sum((x - model.prototype(self.SEM[c])) ** 2) for c in cand]
-            assert classify_embedding(model, x, cand, self.SEM) == cand[int(np.argmin(dists))]
+            assert classify_embedding_batch(model, [x], cand, self.SEM) == [cand[int(np.argmin(dists))]]
 
     def test_batch_agrees_with_single(self, rng):
         model = self.fitted()
         feats = rng.normal(size=(20, 2))
         batch = classify_embedding_batch(model, feats, {"a", "b", "c"}, self.SEM)
-        singles = [classify_embedding(model, x, {"a", "b", "c"}, self.SEM) for x in feats]
+        singles = [classify_embedding_batch(model, [x], {"a", "b", "c"}, self.SEM)[0] for x in feats]
         assert batch == singles
 
     def test_missing_semantic_vector(self):
         model = self.fitted()
         with pytest.raises(KeyError, match="zz"):
-            classify_embedding(model, [0.0, 0.0], {"zz"}, self.SEM)
+            classify_embedding_batch(model, [[0.0, 0.0]], {"zz"}, self.SEM)
 
 
 def direct_argmin(x, centers):
@@ -468,7 +466,7 @@ class TestPredictClassifier:
         )
 
     def test_argmax(self):
-        assert predict_classifier(self.model(), [5.0, 0.0]) == "a"
+        assert predict_classifier_batch(self.model(), [[5.0, 0.0]]) == ["a"]
 
     def test_shift_invariance(self):
         model = self.model()
@@ -479,13 +477,13 @@ class TestPredictClassifier:
             config=model.config,
         )
         for x in np.random.default_rng(0).normal(size=(20, 2)):
-            assert predict_classifier(model, x) == predict_classifier(shifted, x)
+            assert predict_classifier_batch(model, [x]) == predict_classifier_batch(shifted, [x])
 
     def test_matches_max_scan(self, rng):
         model = self.model()
         for x in rng.normal(size=(30, 2)):
             logits = model.logits(x)[0]
-            assert predict_classifier(model, x) == model.classes[int(np.argmax(logits))]
+            assert predict_classifier_batch(model, [x]) == [model.classes[int(np.argmax(logits))]]
 
     def test_tie_breaks_lexicographically(self):
         model = Classifier(
@@ -494,11 +492,11 @@ class TestPredictClassifier:
             bias=np.zeros(2),
             config=ClassifierConfig(),
         )
-        assert predict_classifier(model, [1.0, 1.0]) == "a"
+        assert predict_classifier_batch(model, [[1.0, 1.0]]) == ["a"]
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
-            predict_classifier(self.model(), [1.0, 2.0, 3.0])
+            predict_classifier_batch(self.model(), [[1.0, 2.0, 3.0]])
 
 
 def test_relabeling_permutation_invariance(rng):
