@@ -43,7 +43,7 @@ from .hardness import (
     semantic_similarity_matrix,
     ss_scores,
 )
-from .hars import PipelineError, run_hars
+from .hars import PipelineError, fit_hard_generator, generate_and_classify, run_hars
 from .harst import run_harst
 
 
@@ -151,20 +151,33 @@ def load_predictions(path) -> list[str]:
     """Read a predictions CSV; rows must cover 0..n-1 exactly."""
     by_index: dict[int, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh):
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if not line or (lineno == 0 and line.startswith("row_index")):
+            if not line or (lineno == 1 and line.startswith("row_index")):
                 continue
             parts = line.split(",")
             if len(parts) != 2:
                 raise DataError(f"{path}: line {lineno}: expected row_index,predicted_class")
-            idx = int(parts[0])
+            try:
+                idx = int(parts[0])
+            except ValueError:
+                raise DataError(
+                    f"{path}: line {lineno}: row index must be an integer, got {parts[0]!r}"
+                ) from None
             if idx in by_index:
-                raise DataError(f"{path}: duplicate row index {idx}")
+                raise DataError(f"{path}: line {lineno}: duplicate row index {idx}")
             by_index[idx] = parts[1]
     if set(by_index) != set(range(len(by_index))):
         raise DataError(f"{path}: row indices must cover 0..{len(by_index) - 1}")
     return [by_index[i] for i in range(len(by_index))]
+
+
+def _test_unseen_predictions(path, bundle) -> list[str]:
+    """Read a predictions CSV that must hold one row per unseen test row."""
+    preds = load_predictions(path)
+    if len(preds) != bundle.test_unseen.n:
+        raise DataError(f"{path}: {len(preds)} predictions for {bundle.test_unseen.n} test rows")
+    return preds
 
 
 def _report_json(report: EvalReport, bundle) -> dict:
@@ -337,7 +350,7 @@ def _cmd_harst(args) -> int:
 def _cmd_eval(args) -> int:
     started = time.monotonic()
     bundle = load_bundle(args.data)
-    preds = load_predictions(args.preds)
+    preds = _test_unseen_predictions(args.preds, bundle)
     report = evaluate(preds, list(bundle.test_unseen.labels), bundle.split)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -355,7 +368,7 @@ def _cmd_analyze(args) -> int:
     if args.mode == "identification":
         if not (args.preds and args.hardness):
             raise _UsageError("identification mode needs --preds and --hardness")
-        preds = load_predictions(args.preds)
+        preds = _test_unseen_predictions(args.preds, bundle)
         report = evaluate(preds, list(bundle.test_unseen.labels), bundle.split)
         hardness = HardnessReport.read_json(args.hardness)
         quality = identification_quality(hardness.hard, report)
@@ -390,6 +403,13 @@ _SWEEP_PARAMS = {"K", "T", "alpha", "beta", "N_u", "S"}
 
 
 def _cmd_sweep(args) -> int:
+    """One ``sweep.csv`` row per grid point: its ``acc_u``, or its error.
+
+    A ``hars`` sweep runs :func:`~hardboost.hars.fit_hard_generator` once per
+    distinct ``K``, ``alpha``, ``S``, ``seed`` and ``ridge`` and shares the
+    result among the points that have them.  A failed front half is not kept,
+    so each such point recomputes its error; the bytes do not depend on this.
+    """
     started = time.monotonic()
     bundle = load_bundle(args.data)
     base_config = load_run_config(args.config)
@@ -415,6 +435,7 @@ def _cmd_sweep(args) -> int:
         # each value beside its checked form: a row shows the value as the grid wrote it
         axes.append([(v, _checked(key, v, by_key[key].type, str(args.grid))) for v in values])
     points = list(itertools.product(*axes))
+    fronts = {}  # front-half inputs -> (hardness report, generator), hars only
 
     def run_point(point):
         try:
@@ -422,7 +443,12 @@ def _cmd_sweep(args) -> int:
                 base_config, **{by_key[key].name: v for key, (_, v) in zip(keys, point)}
             )
             if args.pipeline == "hars":
-                _, _, report = run_hars(bundle, config)
+                front = (config.hard_count, config.alpha, config.support_count, config.seed,
+                         config.ridge)
+                if front not in fronts:
+                    fronts[front] = fit_hard_generator(bundle, config)
+                hardness, gen = fronts[front]
+                _, report = generate_and_classify(bundle, config, gen, hardness.hard)
             else:
                 _, trace = run_harst(bundle, config)
                 report = trace.records[-1].evaluation

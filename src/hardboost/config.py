@@ -7,7 +7,7 @@ import json
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
-from .data import ConfigError
+from .data import ClassSplit, ConfigError
 from .models import ClassifierConfig
 
 METRICS = ("cf", "pncf")  # the frequency metrics, the only ones harst takes
@@ -88,6 +88,14 @@ def require_frequency_metric(config: RunConfig) -> None:
     prediction frequency, so it rejects the semantic metric ``ss``."""
     if config.metric not in METRICS:
         raise ConfigError(f"harst takes metric {' or '.join(METRICS)}, not {config.metric!r}")
+
+
+def require_hard_count_within(config: RunConfig, split: ClassSplit) -> None:
+    """Both pipelines pick ``hard_count`` hard classes among the unseen ones."""
+    if config.hard_count > split.num_unseen:
+        raise ValueError(
+            f"hard_count {config.hard_count} exceeds {split.num_unseen} unseen classes"
+        )
 
 
 def _checked(key: str, value, kind: str, source: str):

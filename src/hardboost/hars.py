@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import RunConfig
+from .config import RunConfig, require_hard_count_within
 from .data import (
     ClassSplit,
     DatasetBundle,
@@ -27,6 +27,7 @@ from .data import (
 from .evaluation import EvalReport, evaluate_if_labeled
 from .hardness import HardnessReport, cosine_distance, ss_scores
 from .models import (
+    GenerativeModel,
     fit_classifier,
     fit_generator,
     predict_classifier_batch,
@@ -170,18 +171,46 @@ def synthesize_unseen(
     return sample_per_class(gen, semantics, counts, seed, "unseen-gen")
 
 
-def _generate_and_classify(
-    bundle: DatasetBundle, config: RunConfig, hard, interp: SynthSet | None
-) -> tuple[list[str], EvalReport | None]:
-    """Fit the generator on seen plus ``interp`` rows, oversample ``hard``, classify."""
-    gen = _stage(
-        "fit-generator",
-        fit_generator,
+def fit_hard_generator(
+    bundle: DatasetBundle, config: RunConfig
+) -> tuple[HardnessReport, GenerativeModel]:
+    """Front half of :func:`run_hars`: identify the hard classes and fit the
+    generator on the seen rows plus their interpolated virtual classes.
+
+    Reads only ``hard_count``, ``alpha``, ``support_count``, ``seed`` and
+    ``ridge`` of the config.  The virtual rows are dropped once the
+    generator is fit.
+    """
+    bundle = _stage("validate", validate_bundle, bundle)
+    require_hard_count_within(config, bundle.split)
+    scores = _stage("identify", ss_scores, bundle.semantics, bundle.split)
+    report = HardnessReport.from_scores("ss", scores, config.hard_count)
+    interp = _stage(
+        "synthesize-hard-seen",
+        synthesize_hard_seen,
         bundle.train_seen,
         bundle.semantics,
-        config.ridge,
-        interp,
+        bundle.split,
+        report.hard,
+        config.alpha,
+        config.support_count,
+        config.seed,
     )
+    gen = _stage(
+        "fit-generator", fit_generator, bundle.train_seen, bundle.semantics, config.ridge, interp
+    )
+    return report, gen
+
+
+def generate_and_classify(
+    bundle: DatasetBundle, config: RunConfig, gen: GenerativeModel, hard
+) -> tuple[list[str], EvalReport | None]:
+    """Back half of :func:`run_hars`: oversample ``hard`` from ``gen``, train
+    the classifier, predict and evaluate the unseen test rows.
+
+    Reads only ``n_unseen``, ``beta``, ``seed`` and ``classifier`` of the
+    config; the bundle must already be validated.
+    """
     features, labels = _stage(
         "synthesize-unseen",
         synthesize_unseen,
@@ -213,37 +242,21 @@ def run_generative_baseline(
     hard-class stages, so of the :class:`~hardboost.config.RunConfig` it reads
     only ``n_unseen``, ``seed``, ``ridge`` and ``classifier``."""
     bundle = _stage("validate", validate_bundle, bundle)
-    return _generate_and_classify(bundle, config, (), None)
+    gen = _stage("fit-generator", fit_generator, bundle.train_seen, bundle.semantics, config.ridge)
+    return generate_and_classify(bundle, config, gen, ())
 
 
 def run_hars(
     bundle: DatasetBundle, config: RunConfig
 ) -> tuple[list[str], HardnessReport, EvalReport | None]:
-    """Full inductive pipeline: identify hard classes, synthesize virtual
-    classes for the generator, oversample hard classes for the classifier,
-    predict on the unseen test rows.
+    """Full inductive pipeline: :func:`fit_hard_generator` (identify hard
+    classes, synthesize virtual classes, fit the generator), then
+    :func:`generate_and_classify` (oversample hard classes, train the
+    classifier, predict on the unseen test rows).
 
     Returns (predictions keyed by test row index, hardness report,
     evaluation report or None when the test rows are unlabeled).
     """
-    bundle = _stage("validate", validate_bundle, bundle)
-    if config.hard_count > bundle.split.num_unseen:
-        raise ValueError(
-            f"hard_count {config.hard_count} exceeds {bundle.split.num_unseen} unseen classes"
-        )
-    scores = _stage("identify", ss_scores, bundle.semantics, bundle.split)
-    report = HardnessReport.from_scores("ss", scores, config.hard_count)
-
-    interp = _stage(
-        "synthesize-hard-seen",
-        synthesize_hard_seen,
-        bundle.train_seen,
-        bundle.semantics,
-        bundle.split,
-        report.hard,
-        config.alpha,
-        config.support_count,
-        config.seed,
-    )
-    preds, eval_report = _generate_and_classify(bundle, config, report.hard, interp)
-    return preds, report, eval_report
+    hardness, gen = fit_hard_generator(bundle, config)
+    preds, report = generate_and_classify(bundle, config, gen, hardness.hard)
+    return preds, hardness, report

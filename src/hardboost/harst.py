@@ -14,7 +14,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 
-from .config import RunConfig, require_frequency_metric
+from .config import RunConfig, require_frequency_metric, require_hard_count_within
 from .data import DatasetBundle, validate_bundle
 from .evaluation import EvalReport, evaluate_if_labeled
 from .hardness import HardnessReport, estimate_class_priors, frequency_hardness
@@ -131,10 +131,7 @@ def run_harst(
     """
     require_frequency_metric(config)
     bundle = _stage("validate", validate_bundle, bundle)
-    if config.hard_count > bundle.split.num_unseen:
-        raise ValueError(
-            f"hard_count {config.hard_count} exceeds {bundle.split.num_unseen} unseen classes"
-        )
+    require_hard_count_within(config, bundle.split)
     m = bundle.test_unseen.n
     if m == 0:
         raise ValueError("transductive training needs unseen test rows")

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,8 @@ import hardboost
 from hardboost import hars as hars_module
 from hardboost.cli import dispatch, load_predictions
 from hardboost.config import RunConfig, load_run_config, parse_run_config, require_frequency_metric
-from hardboost.data import ConfigError
+from hardboost.data import ConfigError, load_bundle
+from hardboost.hars import PipelineError, run_hars
 from hardboost.models import ClassifierConfig
 
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False)
@@ -418,7 +420,7 @@ class TestSweep:
         def broken(*args, **kwargs):
             raise TypeError("broken pipeline")
 
-        monkeypatch.setattr("hardboost.cli.run_hars", broken)
+        monkeypatch.setattr("hardboost.cli.fit_hard_generator", broken)
         with pytest.raises(TypeError, match="broken pipeline"):
             self.sweep_one_point(data_dir, tmp_path)
         assert not (tmp_path / "sweep" / "sweep.csv").exists()
@@ -438,6 +440,54 @@ class TestSweep:
             assert "synthesize-hard-seen" in row and "stage broke" in row
         else:
             assert not csv.exists()
+
+    @staticmethod
+    def sweep_rows(data_dir, tmp_path, grid, **config):
+        cfg = write_config(tmp_path / "cfg.json", **config)
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps(grid))
+        out = tmp_path / "sweep"
+        assert dispatch(
+            ["sweep", "--data", str(data_dir), "--config", str(cfg),
+             "--grid", str(grid_path), "--pipeline", "hars", "--out", str(out)]
+        ) == 0
+        lines = (out / "sweep.csv").read_text().strip().splitlines()
+        return load_run_config(cfg), [line.split(",", len(grid) + 1) for line in lines[1:]]
+
+    @pytest.mark.parametrize("ridge", [0.1, 0.0])
+    def test_points_sharing_a_front_half_match_direct_runs(self, ridge, data_dir, tmp_path):
+        # K 999 fails in the front half and beta 0.5 before it; at ridge 0
+        # every in-range point fails at fit-generator
+        grid = {"K": [2, 999], "alpha": [0.0, 2.0], "beta": [0.5, 1.0, 3.0]}
+        base, rows = self.sweep_rows(data_dir, tmp_path, grid, ridge=ridge)
+        bundle = load_bundle(data_dir)
+        for k, alpha, beta, acc, err in rows:
+            try:
+                config = replace(base, hard_count=int(k), alpha=float(alpha), beta=float(beta))
+                expected = (repr(run_hars(bundle, config)[2].acc_u), "")
+            except (ValueError, PipelineError) as exc:
+                expected = ("", str(exc))
+            assert (acc, err) == expected
+        errors = [err for *_, err in rows]
+        assert sum("hard_count 999" in err for err in errors) == 4
+        assert sum("fit-generator" in err for err in errors) == (4 if ridge == 0 else 0)
+        assert errors.count("") == (0 if ridge == 0 else 4)
+
+    def test_front_half_runs_once_per_distinct_inputs(self, data_dir, tmp_path, monkeypatch):
+        calls = {"synthesize_hard_seen": [], "fit_generator": []}
+        for name, log in calls.items():
+            def counted(*args, _fn=getattr(hars_module, name), _log=log, **kwargs):
+                _log.append(args)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(hars_module, name, counted)
+        grid = {"K": [2, 3], "S": [2, 3], "alpha": [0.0, 1.0], "beta": [1.0, 2.0]}
+        _, rows = self.sweep_rows(data_dir, tmp_path, grid, classifier={"epochs": 5})
+        assert len(rows) == 16 and all(err == "" for *_, err in rows)
+        # synthesize_hard_seen(train, semantics, split, hard, alpha, support_count, seed)
+        fronts = [(len(a[3]), a[4], a[5]) for a in calls["synthesize_hard_seen"]]
+        assert sorted(fronts) == [(k, a, s) for k in (2, 3) for a in (0.0, 1.0) for s in (2, 3)]
+        assert len(calls["fit_generator"]) == 8
 
     def test_harst_sweep_rejects_the_ss_metric_before_any_point(self, data_dir, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", T=2, base_model="embedding")  # metric "ss"
@@ -575,3 +625,22 @@ class TestPredictionsFile:
         path.write_text("row_index,predicted_class\n0,a\n2,b\n")
         with pytest.raises(Exception, match="cover"):
             load_predictions(path)
+
+    def eval_exit_code(self, data_dir, tmp_path, *rows):
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(["row_index,predicted_class", *rows]) + "\n")
+        return path, dispatch(
+            ["eval", "--data", str(data_dir), "--preds", str(path), "--out", str(tmp_path / "ev")]
+        )
+
+    def test_eval_names_the_line_of_a_bad_row_index(self, data_dir, tmp_path, capsys):
+        path, code = self.eval_exit_code(data_dir, tmp_path, "0,u00", "x,u00")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}: line 3: row index must be an integer, got 'x'" in err
+
+    def test_eval_names_the_file_of_a_short_predictions_file(self, data_dir, tmp_path, capsys):
+        path, code = self.eval_exit_code(data_dir, tmp_path, "0,u00")
+        assert code == 2
+        n = load_bundle(data_dir).test_unseen.n
+        assert f"error: {path}: 1 predictions for {n} test rows" in capsys.readouterr().err

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hardboost.benchmark import BenchmarkSpec, make_benchmark
 from hardboost.data import FeatureTable, SemanticTable, load_bundle
 from hardboost.models import (
     COVARIANCE_FLOOR,
@@ -283,6 +284,28 @@ class TestFitPredictUnseen:
         selected = fit_predict_unseen(bundle, [(row, label), (row, label)], *args)
         assert selected == fit_predict_unseen(holding, [], *args)
         assert set(selected) <= set(candidates)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        order=st.integers(0, 2**32 - 1),
+        all_classes=st.booleans(),
+    )
+    def test_permuting_test_rows_permutes_embedding_predictions(self, seed, order, all_classes):
+        bundle, _, _ = make_benchmark(BenchmarkSpec(
+            seen_count=4, unseen_count=3, semantic_dim=8, visual_dim=4, n_per_class=4,
+            hard_pairs=1, affinity_gap=0.2, noise_scale=0.1, seed=seed,
+        ))
+        test = bundle.test_unseen
+        perm = np.random.default_rng(order).permutation(test.n)
+        shuffled = replace(bundle, test_unseen=FeatureTable(
+            features=test.features[perm], labels=tuple(test.labels[i] for i in perm),
+        ))
+        split = bundle.split
+        candidates = sorted(split.all_classes if all_classes else split.unseen)
+        args = ([], "embedding", candidates, 0.1, 5, ClassifierConfig(), 0)
+        preds = fit_predict_unseen(bundle, *args)
+        assert fit_predict_unseen(shuffled, *args) == [preds[i] for i in perm]
 
     def test_unknown_base_rejected(self, standard_benchmark):
         bundle, _, _ = standard_benchmark
