@@ -18,6 +18,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import os
 import sys
 import time
 import warnings
@@ -268,7 +269,7 @@ def _hardness_for(args, bundle) -> HardnessReport:
         return HardnessReport.from_scores("ss", ss_scores(bundle.semantics, bundle.split), args.k)
     if not args.preds:
         raise _UsageError(f"--preds is required for metric {args.metric!r}")
-    preds = load_predictions(args.preds)
+    preds = _test_unseen_predictions(args.preds, bundle)
     priors = bundle.class_priors
     if priors is None and args.metric == "pncf":
         priors = estimate_class_priors(bundle.test_unseen, bundle.split, args.seed, preds)
@@ -402,13 +403,49 @@ def _cmd_analyze(args) -> int:
 _SWEEP_PARAMS = {"K", "T", "alpha", "beta", "N_u", "S"}
 
 
+def _outcome(fn, *args, **kwargs):
+    """``(fn(...), "")``, or ``(None, error text)`` for an error a sweep records."""
+    try:
+        return fn(*args, **kwargs), ""
+    except (ValueError, PipelineError) as exc:
+        # a point with bad parameters or a failed fit is recorded and the
+        # sweep goes on; any other error is a defect and stops the sweep
+        if isinstance(exc, PipelineError) and not isinstance(exc.__cause__, ValueError):
+            raise
+        return None, str(exc).replace("\n", " ")
+
+
+def _front_key(config: RunConfig) -> tuple:
+    """The inputs of :func:`~hardboost.hars.fit_hard_generator`."""
+    return config.hard_count, config.alpha, config.support_count, config.seed, config.ridge
+
+
+_point_fn = None  # a forked sweep worker's per-point function
+
+
+def _set_point_fn(fn) -> None:
+    global _point_fn
+    _point_fn = fn
+
+
+def _run_point(index: int):
+    return _point_fn(index)
+
+
 def _cmd_sweep(args) -> int:
     """One ``sweep.csv`` row per grid point: its ``acc_u``, or its error.
 
-    A ``hars`` sweep runs :func:`~hardboost.hars.fit_hard_generator` once per
-    distinct ``K``, ``alpha``, ``S``, ``seed`` and ``ridge`` and shares the
-    result among the points that have them.  A failed front half is not kept,
-    so each such point recomputes its error; the bytes do not depend on this.
+    A ``hars`` sweep runs :func:`~hardboost.hars.fit_hard_generator` in this
+    process, once per distinct ``K``, ``alpha``, ``S``, ``seed`` and
+    ``ridge``, before any point runs; a failed front half gives its error to
+    every point that shares it.  The per-point work (the ``hars`` back half,
+    or the whole ``harst`` run) runs on one forked worker per available CPU,
+    at most one per point.  The workers inherit the bundle and the fitted
+    generators, and only a point index goes out and ``(acc_u, error)`` comes
+    back.  With one worker, or off Linux, the points run in this process.
+    The bytes do not depend on the worker count.  On a multi-core machine,
+    set ``OPENBLAS_NUM_THREADS=1`` so that the workers' BLAS threads do not
+    oversubscribe the CPUs.
     """
     started = time.monotonic()
     bundle = load_bundle(args.data)
@@ -435,34 +472,57 @@ def _cmd_sweep(args) -> int:
         # each value beside its checked form: a row shows the value as the grid wrote it
         axes.append([(v, _checked(key, v, by_key[key].type, str(args.grid))) for v in values])
     points = list(itertools.product(*axes))
-    fronts = {}  # front-half inputs -> (hardness report, generator), hars only
+    configs = [  # (RunConfig, "") or (None, error text) per point
+        _outcome(dataclasses.replace, base_config,
+                 **{by_key[key].name: v for key, (_, v) in zip(keys, point)})
+        for point in points
+    ]
+    fronts = {}  # front-half inputs -> ((hardness report, generator), "") or (None, error text)
+    if args.pipeline == "hars":
+        for config, err in configs:
+            if not err and _front_key(config) not in fronts:
+                fronts[_front_key(config)] = _outcome(fit_hard_generator, bundle, config)
 
-    def run_point(point):
-        try:
-            config = dataclasses.replace(
-                base_config, **{by_key[key].name: v for key, (_, v) in zip(keys, point)}
-            )
-            if args.pipeline == "hars":
-                front = (config.hard_count, config.alpha, config.support_count, config.seed,
-                         config.ridge)
-                if front not in fronts:
-                    fronts[front] = fit_hard_generator(bundle, config)
-                hardness, gen = fronts[front]
-                _, report = generate_and_classify(bundle, config, gen, hardness.hard)
-            else:
-                _, trace = run_harst(bundle, config)
-                report = trace.records[-1].evaluation
-            if report is None:
-                return None, "test rows are unlabeled"
-            return report.acc_u, ""
-        except (ValueError, PipelineError) as exc:
-            # a point with bad parameters or a failed fit is recorded and the
-            # sweep goes on; any other error is a defect and stops the sweep
-            if isinstance(exc, PipelineError) and not isinstance(exc.__cause__, ValueError):
-                raise
-            return None, str(exc).replace("\n", " ")
+    def back_half(config):
+        if args.pipeline == "harst":
+            return run_harst(bundle, config)[1].records[-1].evaluation
+        hardness, gen = fronts[_front_key(config)][0]
+        return generate_and_classify(bundle, config, gen, hardness.hard)[1]
 
-    results = [run_point(p) for p in points]
+    def run_point(index):
+        config, err = configs[index]
+        if not err and args.pipeline == "hars":
+            err = fronts[_front_key(config)][1]
+        if err:
+            return None, err
+        report, err = _outcome(back_half, config)
+        if report is None:
+            return None, err or "test rows are unlabeled"
+        return report.acc_u, ""
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(cpus or 1, len(points))
+    if workers > 1 and sys.platform == "linux":
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork"),
+            initializer=_set_point_fn, initargs=(run_point,),
+        ) as pool:
+            with warnings.catch_warnings():
+                # Python 3.12+ warns on fork() in a process with threads.  The
+                # only ones here are OpenBLAS's, which its pthread_atfork
+                # handler shuts down before the fork, and the executor forks
+                # all its workers before it starts threads of its own.
+                warnings.filterwarnings(
+                    "ignore", r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)",
+                    DeprecationWarning,
+                )
+                pending = pool.map(_run_point, range(len(points)))
+            results = list(pending)
+    else:
+        results = list(map(run_point, range(len(points))))
     lines = [",".join(keys) + ",acc_u,error"]
     for point, (acc, err) in zip(points, results):
         acc_str = "" if acc is None else repr(acc)

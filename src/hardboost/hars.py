@@ -126,6 +126,10 @@ def synthesize_hard_seen(
                 )
         n_support_samples = sum(rows_by_class[cls].size for cls in support)
         n_rows = _round_half_away(alpha * n_support_samples)
+        if n_rows and len(support) < 2:
+            raise ValueError(
+                f"interpolation needs at least two support classes, got {len(support)}"
+            )
         rng = substream(seed, "hard-seen-interp", hard_idx)
         for _ in range(n_rows):
             i_cls, j_cls = rng.choice(len(support), size=2, replace=False)

@@ -16,6 +16,7 @@ from hardboost.cli import dispatch, load_predictions
 from hardboost.config import RunConfig, load_run_config, parse_run_config, require_frequency_metric
 from hardboost.data import ConfigError, load_bundle
 from hardboost.hars import PipelineError, run_hars
+from hardboost.harst import run_harst
 from hardboost.models import ClassifierConfig
 
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False)
@@ -41,6 +42,10 @@ RUN_CONFIGS = st.builds(
         seed=st.just(0),
     ),
 )
+
+
+def available_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
 def write_config(path, **overrides):
@@ -135,6 +140,18 @@ class TestIdentify:
                          "--preds", str(run / "predictions.csv"), "--out", str(out)]) == 0
         scores = json.loads((out / "hardness.json").read_text())["scores"]
         assert scores == {f"u{i:02d}": float(preds.count(f"u{i:02d}")) for i in range(8)}
+
+    @pytest.mark.parametrize("metric", ["cf", "pncf"])
+    def test_short_predictions_file_rejected(self, metric, data_dir, tmp_path, capsys):
+        preds = tmp_path / "preds.csv"
+        preds.write_text("row_index,predicted_class\n0,u00\n1,u01\n")
+        out = tmp_path / "id"
+        code = dispatch(["identify", "--data", str(data_dir), "--metric", metric, "--k", "2",
+                         "--preds", str(preds), "--out", str(out)])
+        assert code == 2
+        n = load_bundle(data_dir).test_unseen.n
+        assert f"error: {preds}: 2 predictions for {n} test rows" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_label_outside_the_split_rejected(self, data_dir, tmp_path, capsys):
         preds = tmp_path / "preds.csv"
@@ -442,14 +459,14 @@ class TestSweep:
             assert not csv.exists()
 
     @staticmethod
-    def sweep_rows(data_dir, tmp_path, grid, **config):
+    def sweep_rows(data_dir, tmp_path, grid, pipeline="hars", **config):
         cfg = write_config(tmp_path / "cfg.json", **config)
         grid_path = tmp_path / "grid.json"
         grid_path.write_text(json.dumps(grid))
         out = tmp_path / "sweep"
         assert dispatch(
             ["sweep", "--data", str(data_dir), "--config", str(cfg),
-             "--grid", str(grid_path), "--pipeline", "hars", "--out", str(out)]
+             "--grid", str(grid_path), "--pipeline", pipeline, "--out", str(out)]
         ) == 0
         lines = (out / "sweep.csv").read_text().strip().splitlines()
         return load_run_config(cfg), [line.split(",", len(grid) + 1) for line in lines[1:]]
@@ -488,6 +505,95 @@ class TestSweep:
         fronts = [(len(a[3]), a[4], a[5]) for a in calls["synthesize_hard_seen"]]
         assert sorted(fronts) == [(k, a, s) for k in (2, 3) for a in (0.0, 1.0) for s in (2, 3)]
         assert len(calls["fit_generator"]) == 8
+
+    def test_harst_points_match_direct_runs(self, data_dir, tmp_path, monkeypatch):
+        available_cpus(monkeypatch, 2)
+        grid = {"K": [0, 2, 3], "T": [1, 2]}
+        base, rows = self.sweep_rows(
+            data_dir, tmp_path, grid, pipeline="harst", metric="cf", base_model="embedding"
+        )
+        bundle = load_bundle(data_dir)
+        for k, t, acc, err in rows:
+            try:
+                config = replace(base, hard_count=int(k), iterations=int(t))
+                expected = (repr(run_harst(bundle, config)[1].records[-1].evaluation.acc_u), "")
+            except (ValueError, PipelineError) as exc:
+                expected = ("", str(exc))
+            assert (acc, err) == expected
+        assert [err == "" for *_, err in rows] == [False, False, True, True, True, True]
+
+    def test_one_support_class_is_a_recorded_row(self, data_dir, tmp_path):
+        _, rows = self.sweep_rows(data_dir, tmp_path, {"S": [1, 2]}, classifier={"epochs": 5})
+        assert rows[0] == ["1", "", "stage 'synthesize-hard-seen' failed: interpolation needs "
+                           "at least two support classes, got 1"]
+        assert rows[1][2] == ""
+
+    @staticmethod
+    def pooled_sweep(data_dir, tmp_path, monkeypatch, back_half):
+        """Sweep four points on two forked workers, ``back_half`` in place of
+        the ``hars`` back half; the workers inherit the patch."""
+        available_cpus(monkeypatch, 2)
+        monkeypatch.setattr("hardboost.cli.generate_and_classify", back_half)
+        cfg = write_config(tmp_path / "cfg.json")
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"K": [2, 3], "beta": [1.0, 2.0]}))
+        return dispatch(
+            ["sweep", "--data", str(data_dir), "--config", str(cfg),
+             "--grid", str(grid), "--pipeline", "hars", "--out", str(tmp_path / "sweep")]
+        )
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="sweeps fork workers on Linux only")
+    def test_programming_error_in_a_worker_stops_the_sweep(self, data_dir, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("broken back half")
+
+        with pytest.raises(TypeError, match="broken back half"):
+            self.pooled_sweep(data_dir, tmp_path, monkeypatch, broken)
+        assert not (tmp_path / "sweep" / "sweep.csv").exists()
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="sweeps fork workers on Linux only")
+    def test_a_worker_that_dies_fails_the_sweep(self, data_dir, tmp_path, monkeypatch, capsys):
+        test_pid = os.getpid()
+
+        def dying(*args, **kwargs):
+            if os.getpid() == test_pid:  # never end the test process itself
+                raise AssertionError("the back half ran in the test process")
+            os._exit(3)
+
+        assert self.pooled_sweep(data_dir, tmp_path, monkeypatch, dying) == 2
+        assert "terminated abruptly" in capsys.readouterr().err
+        assert not (tmp_path / "sweep" / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("in_process", ["one-cpu", "not-linux"])
+    def test_points_run_in_process_give_the_pooled_bytes(
+        self, in_process, data_dir, tmp_path, monkeypatch
+    ):
+        pids = tmp_path / "pids"
+
+        def back_half(*args, _fn=hars_module.generate_and_classify):
+            with open(pids, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return _fn(*args)
+
+        monkeypatch.setattr("hardboost.cli.generate_and_classify", back_half)
+        # beta 0.5 rows fail before the front half, K 999 rows in it
+        grid = {"K": [2, 3, 999], "beta": [0.5, 1.0, 2.0]}
+        written = {}
+        for run in ("pooled", in_process):
+            available_cpus(monkeypatch, 1 if run == "one-cpu" else 2)
+            if run == "not-linux":
+                monkeypatch.setattr("hardboost.cli.sys.platform", "darwin")
+            pids.unlink(missing_ok=True)
+            (tmp_path / run).mkdir()
+            self.sweep_rows(data_dir, tmp_path / run, grid, classifier={"epochs": 5})
+            written[run] = (tmp_path / run / "sweep" / "sweep.csv").read_bytes()
+            workers = set(pids.read_text().split())
+            assert len(pids.read_text().split()) == 4  # K 2 and 3 at beta 1 and 2
+            if run == "pooled" and sys.platform == "linux":
+                assert str(os.getpid()) not in workers
+            else:
+                assert workers == {str(os.getpid())}
+        assert written["pooled"] == written[in_process]
 
     def test_harst_sweep_rejects_the_ss_metric_before_any_point(self, data_dir, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", T=2, base_model="embedding")  # metric "ss"

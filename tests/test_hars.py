@@ -137,6 +137,13 @@ class TestSynthesizeHardSeen:
         with pytest.raises(ValueError, match="no training samples"):
             synthesize_hard_seen(only_sc, sem, split, ["u1"], 1.0, 2, seed=0)
 
+    def test_one_support_class_cannot_interpolate(self):
+        train, sem, split = small_world()
+        with pytest.raises(ValueError, match="needs at least two support classes, got 1"):
+            synthesize_hard_seen(train, sem, split, ["u1"], 1.0, 1, seed=0)
+        # with no rows to draw there is nothing to interpolate
+        assert len(synthesize_hard_seen(train, sem, split, ["u1"], 0.0, 1, seed=0)) == 0
+
 
 class TestSynthesizeUnseen:
     def world(self):
