@@ -18,13 +18,12 @@ import dataclasses
 import hashlib
 import itertools
 import json
-import os
 import sys
 import time
 import warnings
 from pathlib import Path
 
-from . import __version__
+from . import __version__, models
 from .benchmark import BenchmarkSpec, make_benchmark
 from .config import RunConfig, _checked, _fields_by_key, load_run_config, require_frequency_metric
 from .data import (
@@ -423,9 +422,15 @@ def _front_key(config: RunConfig) -> tuple:
 _point_fn = None  # a forked sweep worker's per-point function
 
 
-def _set_point_fn(fn) -> None:
+def _init_worker(fn) -> None:
+    """Set up a forked sweep worker to run points with ``fn``.
+
+    The pool already runs one worker per CPU, so the worker's classifier
+    fits run on one thread each.
+    """
     global _point_fn
     _point_fn = fn
+    models._one_thread_per_fit = True
 
 
 def _run_point(index: int):
@@ -442,10 +447,11 @@ def _cmd_sweep(args) -> int:
     or the whole ``harst`` run) runs on one forked worker per available CPU,
     at most one per point.  The workers inherit the bundle and the fitted
     generators, and only a point index goes out and ``(acc_u, error)`` comes
-    back.  With one worker, or off Linux, the points run in this process.
-    The bytes do not depend on the worker count.  On a multi-core machine,
-    set ``OPENBLAS_NUM_THREADS=1`` so that the workers' BLAS threads do not
-    oversubscribe the CPUs.
+    back.  A worker's classifier fits run on one thread each.  With one
+    worker, or off Linux, the points run in this process, and a large fit
+    there uses every available CPU.  The bytes do not depend on the worker
+    count.  On a multi-core machine, set ``OPENBLAS_NUM_THREADS=1`` so that
+    the workers' BLAS threads do not oversubscribe the CPUs.
     """
     started = time.monotonic()
     bundle = load_bundle(args.data)
@@ -500,15 +506,14 @@ def _cmd_sweep(args) -> int:
             return None, err or "test rows are unlabeled"
         return report.acc_u, ""
 
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(cpus or 1, len(points))
+    workers = min(models.available_cpus(), len(points))
     if workers > 1 and sys.platform == "linux":
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(
             workers, mp_context=multiprocessing.get_context("fork"),
-            initializer=_set_point_fn, initargs=(run_point,),
+            initializer=_init_worker, initargs=(run_point,),
         ) as pool:
             with warnings.catch_warnings():
                 # Python 3.12+ warns on fork() in a process with threads.  The

@@ -14,6 +14,12 @@ and therefore exactly reproducible.
   kernel, :func:`_loss_and_grad_into`, in two softmax buffers allocated once
   per fit, and updates the parameters in place.  Its results are bit-equal
   to the direct form, ``_softmax(feats @ weights.T + bias)`` in fresh arrays.
+  A large step is cut into blocks: the logits GEMM and the softmax into row
+  blocks, and the gradient GEMM into column blocks (see :func:`_blocks`).
+  The cuts depend on the array shapes alone.  A fit that has blocks to share
+  starts one helper thread per further available CPU (at most one per
+  block) and joins them before it returns; the threads only decide who
+  computes which block, so the bytes do not depend on the CPU count.
 
 :func:`fit_predict_unseen` is the transductive refit that ``harst`` and the
 contrastive study share: fit either base on the seen training rows plus
@@ -22,15 +28,29 @@ selected (test row, label) pairs, then label every unseen test row.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import queue
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .data import DatasetBundle, FeatureTable, SemanticTable
 from .rng import child_seed
 
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
+
 COVARIANCE_FLOOR = 1e-6
+
+
+def available_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 class SingularFitError(ValueError):
@@ -139,6 +159,9 @@ def _prototype_matrix(
     return cand, protos
 
 
+_RECHECK_ELEMENTS = 1 << 16  # per block of rows that nearest_rows re-decides (512 KiB)
+
+
 def nearest_rows(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Index of the nearest center (squared Euclidean) for each row of ``x``.
 
@@ -148,14 +171,16 @@ def nearest_rows(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
     ``|x|^2 - 2 x.c + |c|^2``.  Both forms err by at most
     ``(v + 2) * eps * (|x| + max|c|)^2`` per entry, so a row whose best and
     second-best screened distances lie within four times that bound is
-    re-decided by the direct form.  Memory is one ``(n, c)`` matrix plus one
-    ``(c, v)`` block per re-decided row.
+    re-decided by the direct form, in blocks of rows: each row's sum runs
+    over its own contiguous ``v`` differences, as in the per-row form.
+    Memory is one ``(n, c)`` matrix plus one block of at most
+    ``_RECHECK_ELEMENTS`` differences (or one row's ``(c, v)``, if larger).
 
-    The re-check is a Python loop over rows, and its tolerance grows with the
-    squared norms, not with the distances.  Rows far from the origin relative
-    to their spread, exact midpoints, and duplicated centers (every row ties
-    between the copies) all take the slow per-row path: the answer stays
-    exact, but the cost approaches that of a per-row scan.
+    The re-check's tolerance grows with the squared norms, not with the
+    distances.  Rows far from the origin relative to their spread, exact
+    midpoints, and duplicated centers (every row ties between the copies)
+    are all re-decided: the answer stays exact, but the cost approaches that
+    of a direct scan.
     """
     x = np.asarray(x, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64)
@@ -177,8 +202,12 @@ def nearest_rows(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
     scale = np.sqrt(x_sq) + np.sqrt(c_sq.max())
     tol = 4.0 * (x.shape[1] + 2) * np.finfo(np.float64).eps * scale**2
     # a screen that may have overflowed has tol = inf; ``not >`` also catches nan
-    for i in np.flatnonzero(~(gap > tol)):
-        picks[i] = ((x[i] - centers) ** 2).sum(axis=1).argmin()
+    flagged = np.flatnonzero(~(gap > tol))
+    step = max(1, _RECHECK_ELEMENTS // max(centers.size, 1))
+    for start in range(0, flagged.size, step):
+        block = flagged[start : start + step]
+        diff = x[block, None, :] - centers
+        picks[block] = np.square(diff, out=diff).sum(axis=2).argmin(axis=1)
     return picks
 
 
@@ -344,9 +373,71 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=1, keepdims=True)
 
 
+# A block holds at least this many multiply-adds.  That keeps a thread's
+# share worth its hand-off, and keeps every GEMM block above the 1 M
+# multiply-adds at or below which OpenBLAS takes its small-matrix kernels,
+# which round differently from the kernels the whole product takes.
+_BLOCK_MADDS = 1 << 22
+_MAX_BLOCKS = 8
+
+# Set in a sweep's worker processes, whose pool already runs one process per
+# CPU: their fits then compute every block on the calling thread.
+_one_thread_per_fit = False
+
+
+def _blocks(length: int, unit: int, madds_per_item: int) -> list[tuple[int, int]]:
+    """``(start, stop)`` ranges that cover ``range(length)`` in order.
+
+    The ranges are cut at multiples of ``unit``, at most ``_MAX_BLOCKS`` of
+    them, each of at least ``_BLOCK_MADDS`` multiply-adds at
+    ``madds_per_item`` per item; the last takes the remainder.  A length too
+    short to cut stays one range.  The cuts depend on their arguments alone.
+    """
+    units = length // unit
+    count = min(_MAX_BLOCKS, units // -(-_BLOCK_MADDS // max(unit * madds_per_item, 1)))
+    if count < 2:
+        return [(0, length)]
+    bounds = [unit * (i * units // count) for i in range(count)] + [length]
+    return list(zip(bounds, bounds[1:]))
+
+
+@dataclass(frozen=True)
+class _Threads:
+    """The calling thread plus the ``count - 1`` helper threads of ``pool``."""
+
+    pool: ThreadPoolExecutor | None = None
+    count: int = 1
+
+    def each(self, fn, blocks: list[tuple[int, int]]) -> None:
+        """``fn(start, stop)`` for every block.  The threads, this one among
+        them, take the blocks in turn from one queue, so a thread the OS
+        holds back leaves its blocks to the others."""
+        helpers = min(self.count, len(blocks)) - 1
+        if helpers == 0:  # a desk-scale fit makes thousands of these calls
+            for start, stop in blocks:
+                fn(start, stop)
+            return
+        todo = queue.SimpleQueue()
+        for block in blocks:
+            todo.put(block)
+        futures = [self.pool.submit(_drain, fn, todo) for _ in range(helpers)]
+        _drain(fn, todo)
+        for future in futures:
+            future.result()
+
+
+def _drain(fn, todo: queue.SimpleQueue) -> None:
+    while True:
+        try:
+            start, stop = todo.get_nowait()
+        except queue.Empty:
+            return
+        fn(start, stop)
+
+
 def _probs_into(
     weights: np.ndarray, bias: np.ndarray, feats: np.ndarray,
-    buf: np.ndarray, buf_t: np.ndarray,
+    buf: np.ndarray, buf_t: np.ndarray, threads: _Threads = _Threads(),
 ) -> np.ndarray:
     """``_softmax(feats @ weights.T + bias)``, bit for bit, in the first rows of ``buf``.
 
@@ -357,33 +448,54 @@ def _probs_into(
     classes run on a transposed copy, where each is one pass over long rows
     and exact in any order; the exp and the row sums run on ``buf``, since the
     same numbers summed along strided rows round differently.
+
+    Every step works on one row, so the rows are cut into blocks of 8-row
+    multiples (:func:`_blocks`), which ``threads`` share.  A row's product
+    is the same in a block as in the whole GEMM, since every block is above
+    OpenBLAS's small-matrix size.
     """
     n = feats.shape[0]
-    probs, logits_t = buf[:n], buf_t[:, :n]
-    np.matmul(feats, weights.T, out=probs)
-    np.copyto(logits_t, probs.T)
-    logits_t += bias[:, None]
-    np.subtract(logits_t.T, logits_t.max(axis=0)[:, None], out=probs)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=1, keepdims=True)
-    return probs
+
+    def block(start: int, stop: int) -> None:
+        probs, logits_t = buf[start:stop], buf_t[:, start:stop]
+        np.matmul(feats[start:stop], weights.T, out=probs)
+        np.copyto(logits_t, probs.T)
+        logits_t += bias[:, None]
+        np.subtract(logits_t.T, logits_t.max(axis=0)[:, None], out=probs)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=1, keepdims=True)
+
+    threads.each(block, _blocks(n, 8, weights.size))
+    return buf[:n]
 
 
 def _loss_and_grad_into(
     weights: np.ndarray, bias: np.ndarray, feats: np.ndarray, label_idx: np.ndarray,
-    rows: np.ndarray, buf: np.ndarray, buf_t: np.ndarray,
+    rows: np.ndarray, buf: np.ndarray, buf_t: np.ndarray, threads: _Threads = _Threads(),
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """:func:`cross_entropy_and_grad` in the buffers of :func:`_probs_into`.
 
-    ``rows`` is ``np.arange(k)`` for some ``k >= len(feats)``.
+    ``rows`` is ``np.arange(k)`` for some ``k >= len(feats)``.  The weight
+    gradient ``probs.T @ feats`` is cut into blocks of feature columns at
+    multiples of 256, which ``threads`` share; every block sums over all
+    rows, in the whole product's order.  Only a feature dimension that is a
+    multiple of 8 is cut: with OpenBLAS 0.3.31, column cuts of other
+    dimensions measured inexact in the last ``v % 8`` columns.  The loss and
+    the bias gradient stay one pass each.
     """
-    n = feats.shape[0]
-    probs = _probs_into(weights, bias, feats, buf, buf_t)
+    n, v = feats.shape
+    probs = _probs_into(weights, bias, feats, buf, buf_t, threads)
     picks = (rows[:n], label_idx)
     loss = float(-np.log(np.maximum(probs[picks], 1e-300)).mean())
     probs[picks] -= 1.0
     probs /= n
-    return loss, probs.T @ feats, probs.sum(axis=0)
+    grad_w = np.empty_like(weights)
+
+    def block(start: int, stop: int) -> None:
+        np.matmul(probs.T, feats[:, start:stop], out=grad_w[:, start:stop])
+
+    threads.each(block, _blocks(v, 256, probs.size) if v % 8 == 0 else [(0, v)])
+    return loss, grad_w, probs.sum(axis=0)
 
 
 def cross_entropy_and_grad(
@@ -408,7 +520,11 @@ def fit_classifier(
     """Gradient-descent softmax regression; deterministic given the seed.
 
     Every epoch reuses two softmax buffers and updates the parameters in
-    place, so a fit allocates no (rows, classes) array per step.
+    place, so a fit allocates no (rows, classes) array per step.  When the
+    full batch has more than one row block (:func:`_probs_into`), the fit
+    runs on one thread per available CPU, at most one per block: the
+    helpers live in a pool that this call shuts down, joining them, before
+    it returns.
     """
     feats = np.asarray(features, dtype=np.float64)
     labels = list(labels)
@@ -430,34 +546,46 @@ def fit_classifier(
     rows, buf, buf_t = np.arange(n), np.empty((n, c)), np.empty((c, n))
     rng = np.random.default_rng(config.seed)
     history = []
+    count = 1 if _one_thread_per_fit else min(available_cpus(), len(_blocks(n, 8, v * c)))
+    pool = None
+    if count > 1:
+        # imported here: concurrent.futures loads logging, 0.6 MiB that a
+        # run without a split fit never needs
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(count - 1)
+    threads = _Threads(pool, count)
 
     def full_loss() -> float:
-        probs = _probs_into(weights, bias, feats, buf, buf_t)
+        probs = _probs_into(weights, bias, feats, buf, buf_t, threads)
         return float(-np.log(np.maximum(probs[rows, y], 1e-300)).mean())
 
     def step(x: np.ndarray, label_idx: np.ndarray) -> float:
         nonlocal weights, bias  # updated in place
-        loss, gw, gb = _loss_and_grad_into(weights, bias, x, label_idx, rows, buf, buf_t)
+        loss, gw, gb = _loss_and_grad_into(
+            weights, bias, x, label_idx, rows, buf, buf_t, threads
+        )
         gw *= config.learning_rate
         weights -= gw
         gb *= config.learning_rate
         bias -= gb
         return loss
 
-    for epoch in range(config.epochs):
-        if config.batch_size is None or config.batch_size >= n:
-            history.append(step(feats, y))
-        else:
-            history.append(full_loss())
-            order = rng.permutation(n)
-            for start in range(0, n, config.batch_size):
-                chunk = order[start : start + config.batch_size]
-                step(feats[chunk], y[chunk])
-        if not (np.isfinite(history[-1]) and np.isfinite(weights).all()):
-            raise ValueError(
-                f"training diverged at epoch {epoch}; lower the learning rate"
-            )
-    history.append(full_loss())
+    with pool or contextlib.nullcontext():
+        for epoch in range(config.epochs):
+            if config.batch_size is None or config.batch_size >= n:
+                history.append(step(feats, y))
+            else:
+                history.append(full_loss())
+                order = rng.permutation(n)
+                for start in range(0, n, config.batch_size):
+                    chunk = order[start : start + config.batch_size]
+                    step(feats[chunk], y[chunk])
+            if not (np.isfinite(history[-1]) and np.isfinite(weights).all()):
+                raise ValueError(
+                    f"training diverged at epoch {epoch}; lower the learning rate"
+                )
+        history.append(full_loss())
     if not np.isfinite(history[-1]):
         raise ValueError(
             f"training diverged at epoch {config.epochs - 1}; lower the learning rate"

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -11,6 +12,16 @@ from hardboost.cli import dispatch
 def standard_benchmark():
     """(bundle, planted hard classes, generating map) for seed 0."""
     return make_benchmark(standard_benchmark_spec(seed=0))
+
+
+@pytest.fixture()
+def available_cpus(monkeypatch):
+    """``available_cpus(count)`` makes ``os.sched_getaffinity`` report ``count`` CPUs."""
+
+    def set_count(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+    return set_count
 
 
 @pytest.fixture()

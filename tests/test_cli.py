@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,12 +13,13 @@ from hypothesis import strategies as st
 
 import hardboost
 from hardboost import hars as hars_module
+from hardboost import models
 from hardboost.cli import dispatch, load_predictions
 from hardboost.config import RunConfig, load_run_config, parse_run_config, require_frequency_metric
 from hardboost.data import ConfigError, load_bundle
 from hardboost.hars import PipelineError, run_hars
 from hardboost.harst import run_harst
-from hardboost.models import ClassifierConfig
+from hardboost.models import ClassifierConfig, fit_classifier
 
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 RUN_CONFIGS = st.builds(
@@ -42,10 +44,6 @@ RUN_CONFIGS = st.builds(
         seed=st.just(0),
     ),
 )
-
-
-def available_cpus(monkeypatch, count):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
 def write_config(path, **overrides):
@@ -506,8 +504,8 @@ class TestSweep:
         assert sorted(fronts) == [(k, a, s) for k in (2, 3) for a in (0.0, 1.0) for s in (2, 3)]
         assert len(calls["fit_generator"]) == 8
 
-    def test_harst_points_match_direct_runs(self, data_dir, tmp_path, monkeypatch):
-        available_cpus(monkeypatch, 2)
+    def test_harst_points_match_direct_runs(self, data_dir, tmp_path, available_cpus):
+        available_cpus(2)
         grid = {"K": [0, 2, 3], "T": [1, 2]}
         base, rows = self.sweep_rows(
             data_dir, tmp_path, grid, pipeline="harst", metric="cf", base_model="embedding"
@@ -529,10 +527,10 @@ class TestSweep:
         assert rows[1][2] == ""
 
     @staticmethod
-    def pooled_sweep(data_dir, tmp_path, monkeypatch, back_half):
+    def pooled_sweep(data_dir, tmp_path, monkeypatch, available_cpus, back_half):
         """Sweep four points on two forked workers, ``back_half`` in place of
         the ``hars`` back half; the workers inherit the patch."""
-        available_cpus(monkeypatch, 2)
+        available_cpus(2)
         monkeypatch.setattr("hardboost.cli.generate_and_classify", back_half)
         cfg = write_config(tmp_path / "cfg.json")
         grid = tmp_path / "grid.json"
@@ -543,16 +541,20 @@ class TestSweep:
         )
 
     @pytest.mark.skipif(sys.platform != "linux", reason="sweeps fork workers on Linux only")
-    def test_programming_error_in_a_worker_stops_the_sweep(self, data_dir, tmp_path, monkeypatch):
+    def test_programming_error_in_a_worker_stops_the_sweep(
+        self, data_dir, tmp_path, monkeypatch, available_cpus
+    ):
         def broken(*args, **kwargs):
             raise TypeError("broken back half")
 
         with pytest.raises(TypeError, match="broken back half"):
-            self.pooled_sweep(data_dir, tmp_path, monkeypatch, broken)
+            self.pooled_sweep(data_dir, tmp_path, monkeypatch, available_cpus, broken)
         assert not (tmp_path / "sweep" / "sweep.csv").exists()
 
     @pytest.mark.skipif(sys.platform != "linux", reason="sweeps fork workers on Linux only")
-    def test_a_worker_that_dies_fails_the_sweep(self, data_dir, tmp_path, monkeypatch, capsys):
+    def test_a_worker_that_dies_fails_the_sweep(
+        self, data_dir, tmp_path, monkeypatch, available_cpus, capsys
+    ):
         test_pid = os.getpid()
 
         def dying(*args, **kwargs):
@@ -560,13 +562,39 @@ class TestSweep:
                 raise AssertionError("the back half ran in the test process")
             os._exit(3)
 
-        assert self.pooled_sweep(data_dir, tmp_path, monkeypatch, dying) == 2
+        assert self.pooled_sweep(data_dir, tmp_path, monkeypatch, available_cpus, dying) == 2
         assert "terminated abruptly" in capsys.readouterr().err
         assert not (tmp_path / "sweep" / "sweep.csv").exists()
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="sweeps fork workers on Linux only")
+    def test_sweep_after_a_split_fit_runs_its_fits_on_one_thread(
+        self, data_dir, tmp_path, monkeypatch, available_cpus, rng
+    ):
+        available_cpus(2)
+        threads = threading.active_count()
+        # 2000 rows x 100 dims x 50 classes: two row blocks, one helper thread
+        fit_classifier(rng.normal(size=(2000, 100)), [f"c{i % 50:02d}" for i in range(2000)],
+                       config=ClassifierConfig(epochs=2))
+        assert threading.active_count() == threads
+        log = tmp_path / "flags"
+
+        def back_half(*args, _fn=hars_module.generate_and_classify):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}:{models._one_thread_per_fit}\n")
+            return _fn(*args)
+
+        monkeypatch.setattr("hardboost.cli.generate_and_classify", back_half)
+        _, rows = self.sweep_rows(
+            data_dir, tmp_path, {"K": [2, 3], "beta": [1.0, 2.0]}, classifier={"epochs": 5}
+        )
+        assert [err for *_, err in rows] == [""] * 4
+        pids, flags = zip(*(line.split(":") for line in log.read_text().split()))
+        assert str(os.getpid()) not in pids and set(flags) == {"True"}
+        assert not models._one_thread_per_fit
+
     @pytest.mark.parametrize("in_process", ["one-cpu", "not-linux"])
     def test_points_run_in_process_give_the_pooled_bytes(
-        self, in_process, data_dir, tmp_path, monkeypatch
+        self, in_process, data_dir, tmp_path, monkeypatch, available_cpus
     ):
         pids = tmp_path / "pids"
 
@@ -580,7 +608,7 @@ class TestSweep:
         grid = {"K": [2, 3, 999], "beta": [0.5, 1.0, 2.0]}
         written = {}
         for run in ("pooled", in_process):
-            available_cpus(monkeypatch, 1 if run == "one-cpu" else 2)
+            available_cpus(1 if run == "one-cpu" else 2)
             if run == "not-linux":
                 monkeypatch.setattr("hardboost.cli.sys.platform", "darwin")
             pids.unlink(missing_ok=True)

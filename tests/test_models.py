@@ -1,16 +1,23 @@
+import math
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from hardboost import models
 from hardboost.benchmark import BenchmarkSpec, make_benchmark
 from hardboost.data import FeatureTable, SemanticTable, load_bundle
 from hardboost.models import (
     COVARIANCE_FLOOR,
+    _BLOCK_MADDS,
+    _blocks,
     _loss_and_grad_into,
+    _Threads,
     _ridge_solve,
     _softmax,
     Classifier,
@@ -214,6 +221,24 @@ class TestNearestRows:
         finally:
             tracemalloc.stop()
         assert peak < n * c * v * 8 / 10  # the old broadcast tensor was 41 MB
+
+
+@pytest.mark.parametrize("n, v, c", [(300, 40, 20), (50, 4000, 20), (1000, 3, 2)])
+def test_duplicated_centers_match_the_per_row_form(n, v, c, rng):
+    """Every row ties between the copies, so every row is re-decided: in
+    blocks of several rows, of one row (c * v above the block budget), and
+    in one block."""
+    centers = rng.normal(size=(c, v))
+    centers[c // 2 :] = centers[: c - c // 2]
+    x = np.concatenate([rng.normal(size=(n - 10, v)), (centers[:5] + centers[-5:]) / 2,
+                        centers[:5]])
+    np.testing.assert_array_equal(nearest_rows(x, centers), direct_argmin(x, centers))
+
+
+def test_zero_width_rows_take_one_block():
+    assert nearest_rows(np.ones((3, 0)), np.ones((2, 0))).tolist() == [0, 0, 0]
+    clf = fit_classifier(np.ones((4, 0)), list("abab"), config=ClassifierConfig(epochs=2))
+    assert clf.weights.shape == (2, 0) and clf.loss_history == (math.log(2),) * 3
 
 
 class TestFitGenerator:
@@ -459,6 +484,67 @@ class TestClassifier:
             assert got[0] == loss
             assert got[1].tobytes() == (probs.T @ feats).tobytes()
             assert got[2].tobytes() == probs.sum(axis=0).tobytes()
+
+    def test_blocked_kernel_is_bit_equal_to_the_direct_form_at_cub_shape(self, rng):
+        n, v, c = 6000, 512, 50
+        assert len(_blocks(n, 8, v * c)) == 8 and len(_blocks(v, 256, n * c)) == 2
+        feats = rng.normal(size=(n, v))
+        y = rng.integers(0, c, size=n)
+        w, b = rng.normal(size=(c, v)) * 0.1, rng.normal(size=c)
+        probs = _softmax(feats @ w.T + b)
+        loss = float(-np.log(np.maximum(probs[np.arange(n), y], 1e-300)).mean())
+        probs[np.arange(n), y] -= 1.0
+        probs /= n
+        with ThreadPoolExecutor(1) as pool:
+            for threads in (_Threads(), _Threads(pool, 2)):
+                got = _loss_and_grad_into(
+                    w, b, feats, y, np.arange(n), np.empty((n, c)), np.empty((c, n)), threads
+                )
+                assert got[0] == loss
+                assert got[1].tobytes() == (probs.T @ feats).tobytes()
+                assert got[2].tobytes() == probs.sum(axis=0).tobytes()
+
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        c=st.integers(4, 15).map(lambda k: 2 * k + 1),
+        # dims cut into column blocks (a multiple of 8, at least 512) and not
+        v=st.integers(130, 1100).filter(lambda v: v % 8)
+        | st.integers(64, 95).map(lambda k: 8 * k).filter(lambda v: v % 64),
+        extra=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fit_bytes_do_not_depend_on_the_cpu_count(self, c, v, extra, seed, available_cpus):
+        # at least four row blocks, and two column blocks when v is cut
+        n = max(32 * -(-_BLOCK_MADDS // (8 * v * c)), -(-(_BLOCK_MADDS // 128) // c)) + extra
+        n += n % 64 == 0
+        assert len(_blocks(n, 8, v * c)) >= 4
+        assert v % 8 or len(_blocks(v, 256, n * c)) >= 2
+        rng = np.random.default_rng(seed)
+        feats = rng.normal(size=(n, v)) + rng.normal(size=(c, v))[np.arange(n) % c]
+        labels = [f"k{i % c:02d}" for i in range(n)]
+        fits = []
+        for cpus in (1, 2, 3):
+            available_cpus(cpus)
+            clf = fit_classifier(feats, labels, config=ClassifierConfig(epochs=3))
+            fits.append((clf.weights.tobytes(), clf.bias.tobytes(),
+                         np.array(clf.loss_history).tobytes()))
+        assert fits[0] == fits[1] == fits[2]
+
+    def test_a_split_fit_joins_its_helper_before_it_returns(self, rng, available_cpus, monkeypatch):
+        idents = set()
+
+        def drain(fn, todo, _drain=models._drain):
+            idents.add(threading.get_ident())
+            _drain(fn, todo)
+
+        monkeypatch.setattr(models, "_drain", drain)
+        available_cpus(2)
+        before = threading.active_count()
+        fit_classifier(rng.normal(size=(2000, 100)), [f"c{i % 50:02d}" for i in range(2000)],
+                       config=ClassifierConfig(epochs=2))
+        assert len(idents) == 2  # the calling thread and one helper
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize(
         "bad",
