@@ -56,7 +56,12 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FeatureTable:
-    """Rows of (visual feature vector, class label), features float32."""
+    """Rows of (visual feature vector, class label), features float32.
+
+    Two derived views are computed on first use and cached on the table:
+    the rows of each label (:meth:`rows_for`) and the per-class statistics
+    (:meth:`class_stats`).  The table is immutable, so neither goes stale.
+    """
 
     features: np.ndarray
     labels: tuple[str, ...]
@@ -101,6 +106,25 @@ class FeatureTable:
             object.__setattr__(self, "_label_index", index)
         rows = index.get(label)
         return np.empty(0, dtype=np.intp) if rows is None else rows.copy()
+
+    def class_stats(self) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+        """Sorted class ids, their float64 mean rows and their row counts.
+
+        Class ``k``'s mean is ``features[rows_for(k)].astype(float64).mean(axis=0)``.
+        The first call computes them and caches them, read-only, so every
+        later call returns the same arrays.
+        """
+        stats = self.__dict__.get("_class_stats")
+        if stats is None:
+            labels = tuple(sorted(set(self.labels)))
+            means = np.empty((len(labels), self.dim))
+            counts = np.empty(len(labels), dtype=np.intp)
+            for k, cls in enumerate(labels):
+                rows = self.features[self.rows_for(cls)]
+                means[k], counts[k] = rows.astype(np.float64).mean(axis=0), len(rows)
+            stats = (labels, _freeze(means), _freeze(counts))
+            object.__setattr__(self, "_class_stats", stats)
+        return stats
 
 
 @dataclass(frozen=True)

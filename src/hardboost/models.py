@@ -15,15 +15,22 @@ and therefore exactly reproducible.
   per fit, and updates the parameters in place.  Its results are bit-equal
   to the direct form, ``_softmax(feats @ weights.T + bias)`` in fresh arrays.
   A large step is cut into blocks: the logits GEMM and the softmax into row
-  blocks, and the gradient GEMM into column blocks (see :func:`_blocks`).
-  The cuts depend on the array shapes alone.  A fit that has blocks to share
-  starts one helper thread per further available CPU (at most one per
-  block) and joins them before it returns; the threads only decide who
-  computes which block, so the bytes do not depend on the CPU count.
+  blocks, and, when the fit has helper threads, the gradient GEMM into
+  column blocks (see :func:`_blocks`).  The cuts depend on the array shapes
+  alone.  A fit that has blocks to share starts one helper thread per
+  further available CPU (at most one per block) and joins them before it
+  returns; the threads only decide who computes which block, and the column
+  cuts are exact, so the bytes do not depend on the CPU count.
+
+Every fit reads a training table's class means through the per-class
+statistics the table caches (:meth:`~hardboost.data.FeatureTable.class_stats`),
+so a table's means are computed once however often it is fitted.
 
 :func:`fit_predict_unseen` is the transductive refit that ``harst`` and the
 contrastive study share: fit either base on the seen training rows plus
-selected (test row, label) pairs, then label every unseen test row.
+selected (test row, label) pairs, then label every unseen test row.  The
+embedding base merges the selected rows into the seen rows' cached
+statistics instead of building the merged table.
 """
 
 from __future__ import annotations
@@ -58,17 +65,41 @@ class SingularFitError(ValueError):
 
 
 def _class_means(
-    table: FeatureTable, semantics: SemanticTable
-) -> tuple[list[str], np.ndarray, np.ndarray]:
-    labels = sorted(set(table.labels))
+    table: FeatureTable, semantics: SemanticTable, extra: np.ndarray | None = None,
+    selected=(),
+) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted class ids, float64 class means, row counts and semantic rows of
+    ``table`` with the ``selected`` (row of ``extra``, label) pairs appended.
+
+    The result is bit for bit that of one table holding ``table``'s rows
+    followed by the selected rows in selection order, but no such table is
+    built.  A class no pair names keeps the statistics that ``table`` caches
+    (:meth:`~hardboost.data.FeatureTable.class_stats`); a class some pair
+    names averages its rows of ``table`` followed by its selected rows.
+    """
+    seen, seen_means, seen_counts = table.class_stats()
+    picks: dict[str, list[int]] = {}
+    for row, label in selected:
+        picks.setdefault(label, []).append(row)
+    labels = sorted(picks.keys() | seen)
     if not labels:
         raise ValueError("cannot fit on an empty table")
-    means = []
     for cls in labels:
         if cls not in semantics:
             raise ValueError(f"training label {cls!r} has no semantic vector")
-        means.append(table.features[table.rows_for(cls)].astype(np.float64).mean(axis=0))
-    return labels, np.stack(means), semantics.matrix(labels)
+    if not picks:
+        return labels, seen_means, seen_counts, semantics.matrix(labels)
+    at = {cls: k for k, cls in enumerate(seen)}
+    means = np.empty((len(labels), table.dim))
+    counts = np.empty(len(labels), dtype=np.intp)
+    for k, cls in enumerate(labels):
+        rows = picks.get(cls)
+        if rows is None:
+            means[k], counts[k] = seen_means[at[cls]], seen_counts[at[cls]]
+        else:
+            members = np.concatenate([table.features[table.rows_for(cls)], extra[rows]])
+            means[k], counts[k] = members.astype(np.float64).mean(axis=0), len(members)
+    return labels, means, counts, semantics.matrix(labels)
 
 
 def _ridge_solve(
@@ -111,7 +142,7 @@ def fit_embedding(
     train: FeatureTable, semantics: SemanticTable, ridge: float = 0.0
 ) -> EmbeddingModel:
     """Closed-form ridge fit of class-mean features on semantic vectors."""
-    _, means, sem = _class_means(train, semantics)
+    _, means, _, sem = _class_means(train, semantics)
     return fit_embedding_means(sem, means, np.ones(len(means)), ridge)
 
 
@@ -257,7 +288,7 @@ def fit_generator(
     """
     if ridge < 0:
         raise ValueError("ridge must be >= 0")
-    labels, means, sem = _class_means(train, semantics)
+    labels, means, _, sem = _class_means(train, semantics)
     group_sems = [sem]
     group_means = [means]
     sq_dev = np.zeros(train.dim, dtype=np.float64)
@@ -475,10 +506,12 @@ def _loss_and_grad_into(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """:func:`cross_entropy_and_grad` in the buffers of :func:`_probs_into`.
 
-    ``rows`` is ``np.arange(k)`` for some ``k >= len(feats)``.  The weight
-    gradient ``probs.T @ feats`` is cut into blocks of feature columns at
-    multiples of 256, which ``threads`` share; every block sums over all
-    rows, in the whole product's order.  Only a feature dimension that is a
+    ``rows`` is ``np.arange(k)`` for some ``k >= len(feats)``.  When
+    ``threads`` has helpers, the weight gradient ``probs.T @ feats`` is cut
+    into blocks of feature columns at multiples of 256, which they share;
+    every block sums over all rows, in the whole product's order, so the
+    cuts are exact and one thread computes the product whole, without
+    repacking ``probs`` per block.  Only a feature dimension that is a
     multiple of 8 is cut: with OpenBLAS 0.3.31, column cuts of other
     dimensions measured inexact in the last ``v % 8`` columns.  The loss and
     the bias gradient stay one pass each.
@@ -494,7 +527,8 @@ def _loss_and_grad_into(
     def block(start: int, stop: int) -> None:
         np.matmul(probs.T, feats[:, start:stop], out=grad_w[:, start:stop])
 
-    threads.each(block, _blocks(v, 256, probs.size) if v % 8 == 0 else [(0, v)])
+    cut = threads.count > 1 and v % 8 == 0
+    threads.each(block, _blocks(v, 256, probs.size) if cut else [(0, v)])
     return loss, grad_w, probs.sum(axis=0)
 
 
@@ -623,27 +657,28 @@ def fit_predict_unseen(
     Every training row counts once, so a pair selected twice counts twice.
     The ``"embedding"`` base fits class means weighted by their row counts,
     so selection multiplicity weights the fit and pseudo-label noise costs
-    what it should, and picks the nearest candidate prototype.  The
-    ``"generative"`` base draws ``n_per_class`` rows per unseen class from
-    ``(seed, *stream)``, adds the training rows when the candidates include
-    seen classes, and trains a softmax classifier over the candidates with
-    ``classifier``.
+    what it should, and picks the nearest candidate prototype.  It builds no
+    merged table: classes without selected rows keep the seen table's cached
+    means and counts, and only the classes the selection names are averaged
+    again, bit for bit as the merged table would average them.  The
+    ``"generative"`` base fits the generator on the merged rows themselves,
+    draws ``n_per_class`` rows per unseen class from ``(seed, *stream)``,
+    adds the training rows when the candidates include seen classes, and
+    trains a softmax classifier over the candidates with ``classifier``.
     """
-    train = bundle.train_seen
-    if selected:
-        rows, row_labels = zip(*selected)
-        train = FeatureTable(
-            features=np.concatenate([train.features, bundle.test_unseen.features[list(rows)]]),
-            labels=train.labels + row_labels,
-        )
-    test = bundle.test_unseen.features
+    train, test = bundle.train_seen, bundle.test_unseen.features
     if base == "embedding":
-        labels, means, sem = _class_means(train, bundle.semantics)
-        counts = [train.rows_for(cls).size for cls in labels]
+        _, means, counts, sem = _class_means(train, bundle.semantics, test, selected)
         model = fit_embedding_means(sem, means, counts, ridge)
         return classify_embedding_batch(model, test, candidates, bundle.semantics)
     if base != "generative":
         raise ValueError(f"unknown base model {base!r}")
+    if selected:
+        rows, row_labels = zip(*selected)
+        train = FeatureTable(
+            features=np.concatenate([train.features, test[list(rows)]]),
+            labels=train.labels + row_labels,
+        )
     gen = fit_generator(train, bundle.semantics, ridge)
     counts = dict.fromkeys(sorted(bundle.split.unseen), n_per_class)
     feats, labels = sample_per_class(gen, bundle.semantics, counts, seed, *stream)

@@ -51,6 +51,25 @@ class TestFeatureTable:
         rows[:] = -1
         np.testing.assert_array_equal(table.rows_for(probe), expected)
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        labels=st.lists(st.sampled_from(["a", "b", "c", "é"]), max_size=30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_class_stats_equal_label_scans_and_are_cached(self, labels, seed):
+        feats = np.random.default_rng(seed).normal(size=(len(labels), 3)) * 1e3
+        table = FeatureTable(features=feats, labels=labels)
+        classes, means, counts = table.class_stats()
+        assert classes == tuple(sorted(set(labels)))
+        assert means.shape == (len(classes), 3) and counts.dtype == np.intp
+        for k, cls in enumerate(classes):
+            rows = table.features[table.rows_for(cls)]
+            assert means[k].tobytes() == rows.astype(np.float64).mean(axis=0).tobytes()
+            assert counts[k] == len(rows)
+        again = table.class_stats()
+        assert all(a is b for a, b in zip(again, (classes, means, counts)))
+        assert not means.flags.writeable and not counts.flags.writeable
+
     def test_csv_parse(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("a,1.0,2.0\nb,3.0,4.0\n")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardboost.benchmark import make_benchmark, standard_benchmark_spec
+from hardboost.benchmark import BenchmarkSpec, make_benchmark, standard_benchmark_spec
 from hardboost.config import RunConfig
 from hardboost.data import ClassSplit, ConfigError
 from hardboost.harst import (
@@ -331,3 +331,61 @@ class TestRunHarst:
                 cfbs.records[-1].evaluation.acc_u - rs.records[-1].evaluation.acc_u
             )
         assert np.mean(diffs) >= 0
+
+
+def relabel(bundle, rename):
+    """``bundle`` with every class id ``c`` renamed ``rename[c]``."""
+    from hardboost.data import UNLABELED, DatasetBundle, FeatureTable, SemanticTable
+
+    def renamed(table):
+        if table is None:
+            return None
+        labels = tuple(l if l == UNLABELED else rename[l] for l in table.labels)
+        return FeatureTable(features=table.features, labels=labels)
+
+    priors = bundle.class_priors
+    return DatasetBundle(
+        train_seen=renamed(bundle.train_seen),
+        test_unseen=renamed(bundle.test_unseen),
+        semantics=SemanticTable(vectors={rename[c]: v for c, v in bundle.semantics.vectors.items()}),
+        split=ClassSplit(seen={rename[c] for c in bundle.split.seen},
+                         unseen={rename[c] for c in bundle.split.unseen}),
+        test_seen=renamed(bundle.test_seen),
+        class_priors=None if priors is None else {rename[c]: p for c, p in priors.items()},
+    )
+
+
+# a hard class can have an empty pool on these small bundles, in both namings
+@pytest.mark.filterwarnings("ignore:hard class .* has an empty pseudo-label pool")
+@pytest.mark.parametrize("metric", ["cf", "pncf"])
+@pytest.mark.parametrize("label_space", ["unseen", "all"])
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    names=st.sets(st.text("ab_z019", min_size=1, max_size=5), min_size=11, max_size=11),
+    ship_priors=st.booleans(),
+)
+def test_order_preserving_relabel_maps_embedding_predictions(
+    metric, label_space, seed, names, ship_priors
+):
+    """Ties break on class id, so only a relabel that keeps the id order is
+    an invariance: predictions and every hard set map through it."""
+    from dataclasses import replace as replace_bundle
+
+    bundle, _, _ = make_benchmark(BenchmarkSpec(
+        seen_count=6, unseen_count=5, semantic_dim=12, visual_dim=6, n_per_class=6,
+        hard_pairs=1, affinity_gap=0.2, noise_scale=0.3, seed=seed,
+    ))
+    if not ship_priors:
+        bundle = replace_bundle(bundle, class_priors=None)
+    rename = dict(zip(sorted(bundle.split.all_classes), sorted(names)))
+    config = RunConfig(hard_count=2, iterations=3, metric=metric, base_model="embedding",
+                       label_space=label_space, seed=seed)
+    preds, trace = run_harst(bundle, config)
+    renamed_preds, renamed_trace = run_harst(relabel(bundle, rename), config)
+    assert renamed_preds == [rename[c] for c in preds]
+    for rec, renamed_rec in zip(trace.records, renamed_trace.records):
+        assert renamed_rec.hardness.hard == tuple(rename[c] for c in rec.hardness.hard)
+        assert renamed_rec.selected_per_class == {
+            rename[c]: n for c, n in rec.selected_per_class.items()
+        }

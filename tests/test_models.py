@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from hardboost import models
 from hardboost.benchmark import BenchmarkSpec, make_benchmark
-from hardboost.data import FeatureTable, SemanticTable, load_bundle
+from hardboost.data import ClassSplit, DatasetBundle, FeatureTable, SemanticTable, load_bundle
 from hardboost.models import (
     COVARIANCE_FLOOR,
     _BLOCK_MADDS,
@@ -24,6 +24,7 @@ from hardboost.models import (
     ClassifierConfig,
     EmbeddingModel,
     SingularFitError,
+    _class_means,
     classify_embedding_batch,
     cross_entropy_and_grad,
     fit_classifier,
@@ -331,6 +332,76 @@ class TestFitPredictUnseen:
         args = ([], "embedding", candidates, 0.1, 5, ClassifierConfig(), 0)
         preds = fit_predict_unseen(bundle, *args)
         assert fit_predict_unseen(shuffled, *args) == [preds[i] for i in perm]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        counts=st.lists(st.integers(1, 7), min_size=1, max_size=5),
+        unseen=st.integers(1, 4),
+        test_rows=st.integers(1, 12),
+        picks=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 8)), max_size=25),
+        all_classes=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_merged_statistics_equal_those_of_the_merged_table(
+        self, counts, unseen, test_rows, picks, all_classes, seed
+    ):
+        """Repeated rows, rows given a seen label and the empty selection."""
+        rng = np.random.default_rng(seed)
+        seen = [f"s{i}" for i in range(len(counts))]
+        space = seen + [f"u{i}" for i in range(unseen)] if all_classes else \
+            [f"u{i}" for i in range(unseen)]
+        sem = SemanticTable(vectors={c: rng.normal(size=3) for c in seen + space})
+        labels = [c for c, n in zip(seen, counts) for _ in range(n)]
+        # magnitudes 2**-30..2**30 apart, so float64 sums round and their order shows
+        def rows(n):
+            return (rng.normal(size=(n, 5)) * 2.0 ** rng.integers(-30, 31, size=(n, 1))).astype(
+                np.float32
+            )
+
+        train = table(rows(len(labels)), rng.permutation(labels))
+        test = rows(test_rows)
+        selected = [(row % test_rows, space[k % len(space)]) for row, k in picks]
+        train.class_stats()  # the cache is in place before the merge
+        before = [a.copy() for a in train.class_stats()[1:]]
+
+        got = _class_means(train, sem, test, selected)
+        merged = FeatureTable(
+            features=np.concatenate([train.features, test[[row for row, _ in selected]]]),
+            labels=train.labels + tuple(label for _, label in selected),
+        )
+        want = _class_means(merged, sem)
+        assert got[0] == want[0]
+        assert got[1].tobytes() == want[1].tobytes()
+        np.testing.assert_array_equal(got[2], want[2])
+        assert got[3].tobytes() == want[3].tobytes()
+        # the table's cached statistics are untouched
+        assert all(np.array_equal(a, b) for a, b in zip(train.class_stats()[1:], before))
+
+    def test_a_selected_label_without_a_semantic_vector_raises(self, standard_benchmark):
+        bundle, _, _ = standard_benchmark
+        args = ("embedding", sorted(bundle.split.unseen), 0.1, 5, ClassifierConfig(), 0)
+        with pytest.raises(ValueError, match="training label 'nowhere' has no semantic vector"):
+            fit_predict_unseen(bundle, [(0, "u00"), (1, "nowhere")], *args)
+
+    def test_a_refit_builds_no_merged_table(self, rng):
+        # 40 seen classes of 75 rows, 8 unseen classes of 5 test rows, 128-d
+        seen = [f"s{i:02d}" for i in range(40)]
+        unseen = [f"u{i}" for i in range(8)]
+        sem = SemanticTable(vectors={c: rng.normal(size=16) for c in seen + unseen})
+        train = table(rng.normal(size=(3000, 128)), [seen[i % 40] for i in range(3000)])
+        test = table(rng.normal(size=(40, 128)), [unseen[i % 8] for i in range(40)])
+        bundle = DatasetBundle(train_seen=train, test_unseen=test, semantics=sem,
+                               split=ClassSplit(seen=frozenset(seen), unseen=frozenset(unseen)))
+        args = ("embedding", unseen, 0.1, 5, ClassifierConfig(), 0)
+        fit_predict_unseen(bundle, [], *args)  # caches the seen statistics
+        selected = [(i, unseen[i % 8]) for i in range(40)] * 5
+        tracemalloc.start()
+        try:
+            fit_predict_unseen(bundle, selected, *args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < train.features.nbytes
 
     def test_unknown_base_rejected(self, standard_benchmark):
         bundle, _, _ = standard_benchmark
