@@ -107,12 +107,25 @@ class FeatureTable:
         rows = index.get(label)
         return np.empty(0, dtype=np.intp) if rows is None else rows.copy()
 
+    def class_mean(self, label: str, extra: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+        """Float64 mean row and row count of ``label``'s rows followed by ``extra``.
+
+        The mean is that of one table holding ``label``'s rows, in ascending
+        order, followed by the rows of ``extra`` in their order.  Every class
+        mean of a feature table is computed here, so a merge of cached means
+        and extra rows gives the bits a merged table would.
+        """
+        rows = self.features[self.rows_for(label)]
+        if extra is not None:
+            rows = np.concatenate([rows, extra])
+        return rows.astype(np.float64).mean(axis=0), len(rows)
+
     def class_stats(self) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
         """Sorted class ids, their float64 mean rows and their row counts.
 
-        Class ``k``'s mean is ``features[rows_for(k)].astype(float64).mean(axis=0)``.
-        The first call computes them and caches them, read-only, so every
-        later call returns the same arrays.
+        Class ``k``'s mean and count are :meth:`class_mean` of ``k``.  The
+        first call computes them and caches them, read-only, so every later
+        call returns the same arrays.
         """
         stats = self.__dict__.get("_class_stats")
         if stats is None:
@@ -120,8 +133,7 @@ class FeatureTable:
             means = np.empty((len(labels), self.dim))
             counts = np.empty(len(labels), dtype=np.intp)
             for k, cls in enumerate(labels):
-                rows = self.features[self.rows_for(cls)]
-                means[k], counts[k] = rows.astype(np.float64).mean(axis=0), len(rows)
+                means[k], counts[k] = self.class_mean(cls)
             stats = (labels, _freeze(means), _freeze(counts))
             object.__setattr__(self, "_class_stats", stats)
         return stats

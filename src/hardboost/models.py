@@ -15,12 +15,11 @@ and therefore exactly reproducible.
   per fit, and updates the parameters in place.  Its results are bit-equal
   to the direct form, ``_softmax(feats @ weights.T + bias)`` in fresh arrays.
   A large step is cut into blocks: the logits GEMM and the softmax into row
-  blocks, and, when the fit has helper threads, the gradient GEMM into
-  column blocks (see :func:`_blocks`).  The cuts depend on the array shapes
-  alone.  A fit that has blocks to share starts one helper thread per
-  further available CPU (at most one per block) and joins them before it
-  returns; the threads only decide who computes which block, and the column
-  cuts are exact, so the bytes do not depend on the CPU count.
+  blocks, and the gradient GEMM into column blocks (see :func:`_blocks`).
+  The cuts depend on the array shapes alone.  A fit that has blocks to share
+  starts one helper thread per further available CPU (at most one per
+  block) and joins them before it returns; the threads only decide who
+  computes which block, so the bytes do not depend on the CPU count.
 
 Every fit reads a training table's class means through the per-class
 statistics the table caches (:meth:`~hardboost.data.FeatureTable.class_stats`),
@@ -97,8 +96,7 @@ def _class_means(
         if rows is None:
             means[k], counts[k] = seen_means[at[cls]], seen_counts[at[cls]]
         else:
-            members = np.concatenate([table.features[table.rows_for(cls)], extra[rows]])
-            means[k], counts[k] = members.astype(np.float64).mean(axis=0), len(members)
+            means[k], counts[k] = table.class_mean(cls, extra[rows])
     return labels, means, counts, semantics.matrix(labels)
 
 
@@ -506,12 +504,10 @@ def _loss_and_grad_into(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """:func:`cross_entropy_and_grad` in the buffers of :func:`_probs_into`.
 
-    ``rows`` is ``np.arange(k)`` for some ``k >= len(feats)``.  When
-    ``threads`` has helpers, the weight gradient ``probs.T @ feats`` is cut
-    into blocks of feature columns at multiples of 256, which they share;
-    every block sums over all rows, in the whole product's order, so the
-    cuts are exact and one thread computes the product whole, without
-    repacking ``probs`` per block.  Only a feature dimension that is a
+    ``rows`` is ``np.arange(k)`` for some ``k >= len(feats)``.  The weight
+    gradient ``probs.T @ feats`` is cut into blocks of feature columns at
+    multiples of 256, which ``threads`` share; every block sums over all
+    rows, in the whole product's order.  Only a feature dimension that is a
     multiple of 8 is cut: with OpenBLAS 0.3.31, column cuts of other
     dimensions measured inexact in the last ``v % 8`` columns.  The loss and
     the bias gradient stay one pass each.
@@ -527,8 +523,7 @@ def _loss_and_grad_into(
     def block(start: int, stop: int) -> None:
         np.matmul(probs.T, feats[:, start:stop], out=grad_w[:, start:stop])
 
-    cut = threads.count > 1 and v % 8 == 0
-    threads.each(block, _blocks(v, 256, probs.size) if cut else [(0, v)])
+    threads.each(block, _blocks(v, 256, probs.size) if v % 8 == 0 else [(0, v)])
     return loss, grad_w, probs.sum(axis=0)
 
 
