@@ -193,15 +193,18 @@ def make_benchmark(
     split = ClassSplit(seen=frozenset(seen), unseen=frozenset(unseen))
 
     def table(class_ids, counts, stream_name) -> FeatureTable:
-        feats, labels = [], []
+        # Each class's float64 draw is cast straight into its rows of the
+        # float32 table, so no float64 copy of the whole table is ever held.
+        feats = np.empty((sum(counts[cls] for cls in class_ids), spec.visual_dim), np.float32)
+        labels = []
         for idx, cls in enumerate(class_ids):
             count = counts[cls]
             rng = substream(spec.seed, stream_name, idx)
-            feats.append(_sample_class(rng, w0 @ protos[cls], count, spec.noise_scale))
+            feats[len(labels) : len(labels) + count] = _sample_class(
+                rng, w0 @ protos[cls], count, spec.noise_scale
+            )
             labels.extend([cls] * count)
-        return FeatureTable(
-            features=np.concatenate(feats).astype(np.float32), labels=tuple(labels)
-        )
+        return FeatureTable(features=feats, labels=tuple(labels))
 
     unseen_counts = {cls: spec.n_per_class for cls in unseen}
     if spec.unseen_counts:

@@ -275,13 +275,15 @@ def validate_bundle(bundle: DatasetBundle) -> DatasetBundle:
 # atomic writes
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
-    """Write via a temp file in the same directory, then rename."""
+def atomic_write_bytes(path, *chunks) -> None:
+    """Write ``chunks`` (bytes or contiguous buffers) in order via a temp
+    file in the same directory, then rename."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -319,21 +321,27 @@ def write_feature_table(table: FeatureTable, path, fmt: str = "binary") -> None:
         except UnicodeEncodeError:
             raise DataError(f"row {row}: label is not encodable as UTF-8") from None
     if fmt == "binary":
-        atomic_write_bytes(path, _feature_binary_bytes(table))
+        atomic_write_bytes(path, *_feature_binary_chunks(table))
     elif fmt == "csv":
         atomic_write_text(path, _feature_csv_text(table))
     else:
         raise ValueError(f"unknown feature format {fmt!r}")
 
 
-def _feature_binary_bytes(table: FeatureTable) -> bytes:
+def _feature_binary_chunks(table: FeatureTable) -> tuple:
+    """The binary file's pieces in order; the feature block is the table's
+    own buffer (float32 tables are C-contiguous), not a copy of it."""
     for row, label in enumerate(table.labels):
         if "\n" in label:
             raise DataError(f"row {row}: label contains a newline, not serializable")
     label_block = "\n".join(table.labels).encode("utf-8") if table.n else b""
     header = _MAGIC + struct.pack("<IQI", _BINARY_VERSION, table.n, table.dim)
-    body = table.features.astype("<f4", copy=False).tobytes(order="C")
-    return header + body + struct.pack("<I", len(label_block)) + label_block
+    body = np.ascontiguousarray(table.features, dtype="<f4")
+    return header, body, struct.pack("<I", len(label_block)), label_block
+
+
+def _feature_binary_bytes(table: FeatureTable) -> bytes:
+    return b"".join(_feature_binary_chunks(table))
 
 
 def _load_feature_binary(path) -> FeatureTable:

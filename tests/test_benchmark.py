@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,22 @@ class TestConstruction:
         np.testing.assert_array_equal(first.test_unseen.features, second.test_unseen.features)
         np.testing.assert_array_equal(w0a, w0b)
         assert first.train_seen.labels == second.train_seen.labels
+
+    def test_build_holds_no_float64_copy_of_a_table(self):
+        """Each class's draw is cast into its rows of the float32 table; the
+        build used to hold every table's rows twice over in float64."""
+        spec = BenchmarkSpec(
+            seen_count=30, unseen_count=10, semantic_dim=40, visual_dim=256, n_per_class=100,
+            hard_pairs=2, affinity_gap=0.2, noise_scale=0.1, seed=3,
+        )
+        tracemalloc.start()
+        try:
+            bundle, _, _ = make_benchmark(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        tables = (bundle.train_seen, bundle.test_unseen, bundle.test_seen)
+        assert peak < 1.5 * sum(t.features.nbytes for t in tables)
 
     def test_priors_match_proportions(self):
         spec = standard_benchmark_spec(seed=0)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -287,6 +289,19 @@ def test_bundle_directory_round_trip(tmp_path, standard_benchmark):
     assert set(loaded.class_priors) == bundle.split.unseen
     for cls, vec in bundle.semantics.vectors.items():
         np.testing.assert_allclose(loaded.semantics[cls], vec, atol=1e-15)
+
+
+def test_writing_a_table_copies_none_of_its_features(tmp_path, rng):
+    table = FeatureTable(features=rng.normal(size=(2000, 256)).astype(np.float32), labels=("a",) * 2000)
+    path = tmp_path / "t.zsf"
+    tracemalloc.start()
+    try:
+        write_feature_table(table, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < table.features.nbytes / 4  # the joined file used to be two copies
+    assert path.read_bytes() == _feature_binary_bytes(table)
 
 
 def test_tables_are_immutable(standard_benchmark):
