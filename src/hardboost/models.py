@@ -10,16 +10,21 @@ and therefore exactly reproducible.
 * ``GenerativeModel`` maps a semantic vector to a class mean and samples
   around it with a shared diagonal covariance.
 * ``Classifier`` is multinomial logistic regression trained by full-batch
-  (optionally mini-batch) gradient descent.  Every step of a fit runs one
-  kernel, :func:`_loss_and_grad_into`, in two softmax buffers allocated once
-  per fit, and updates the parameters in place.  Its results are bit-equal
-  to the direct form, ``_softmax(feats @ weights.T + bias)`` in fresh arrays.
-  A large step is cut into blocks: the logits GEMM and the softmax into row
-  blocks, and the gradient GEMM into column blocks (see :func:`_blocks`).
-  The cuts depend on the array shapes alone.  A fit that has blocks to share
-  starts one helper thread per further available CPU (at most one per
-  block) and joins them before it returns; the threads only decide who
-  computes which block, so the bytes do not depend on the CPU count.
+  (optionally mini-batch) gradient descent.  A fit trains in float32: it
+  casts the features once, and its parameters, buffers and updates are
+  float32, while each epoch's loss is computed in float64.  The fitted
+  weights and bias come back upcast to float64, which is exact, so
+  prediction runs in float64.  Every step of a fit runs one kernel,
+  :func:`_loss_and_grad_into`, in two softmax buffers allocated once per
+  fit, and updates the parameters in place.  Its results are bit-equal to
+  the direct form, ``_softmax(feats @ weights.T + bias)`` in fresh arrays of
+  the input dtype.  A large step is cut into blocks: the logits GEMM and the
+  softmax into row blocks, and the gradient GEMM into column blocks (see
+  :func:`_blocks`).  The cuts depend on the array shapes alone.  A fit that
+  has blocks to share starts one helper thread per further available CPU
+  (at most one per block) and joins them before it returns; the threads
+  only decide who computes which block, so the bytes do not depend on the
+  CPU count.
 
 Every fit reads a training table's class means through the per-class
 statistics the table caches (:meth:`~hardboost.data.FeatureTable.class_stats`),
@@ -293,9 +298,8 @@ def fit_generator(
     n_rows = train.n
     n_groups = sem.shape[0]
     classes = set(labels)
-    feats = train.features.astype(np.float64)
-    for cls_idx, cls in enumerate(labels):
-        rows = feats[train.rows_for(cls)]
+    for cls_idx, cls in enumerate(labels):  # one class in float64 at a time
+        rows = train.features[train.rows_for(cls)].astype(np.float64)
         sq_dev += ((rows - means[cls_idx]) ** 2).sum(axis=0)
 
     if synth is not None and len(synth) > 0:
@@ -471,17 +475,19 @@ def _probs_into(
     """``_softmax(feats @ weights.T + bias)``, bit for bit, in the first rows of ``buf``.
 
     ``buf`` is a C-ordered (rows, classes) buffer and ``buf_t`` a (classes,
-    rows) one, each with room for ``len(feats)`` rows.  The logits GEMM keeps
-    the ``feats @ weights.T`` layout: ``weights @ feats.T`` is faster but
-    rounds differently for some row counts.  The bias add and the max over
-    classes run on a transposed copy, where each is one pass over long rows
-    and exact in any order; the exp and the row sums run on ``buf``, since the
-    same numbers summed along strided rows round differently.
+    rows) one, each with room for ``len(feats)`` rows.  Every array has one
+    dtype, float64 or float32, and every step computes in it.  The logits
+    GEMM keeps the ``feats @ weights.T`` layout: ``weights @ feats.T`` is
+    faster but rounds differently for some row counts.  The bias add and the
+    max over classes run on a transposed copy, where each is one pass over
+    long rows and exact in any order; the exp and the row sums run on
+    ``buf``, since the same numbers summed along strided rows round
+    differently.
 
     Every step works on one row, so the rows are cut into blocks of 8-row
     multiples (:func:`_blocks`), which ``threads`` share.  A row's product
     is the same in a block as in the whole GEMM, since every block is above
-    OpenBLAS's small-matrix size.
+    OpenBLAS's small-matrix size, the same size for float32 as for float64.
     """
     n = feats.shape[0]
 
@@ -508,14 +514,15 @@ def _loss_and_grad_into(
     gradient ``probs.T @ feats`` is cut into blocks of feature columns at
     multiples of 256, which ``threads`` share; every block sums over all
     rows, in the whole product's order.  Only a feature dimension that is a
-    multiple of 8 is cut: with OpenBLAS 0.3.31, column cuts of other
-    dimensions measured inexact in the last ``v % 8`` columns.  The loss and
-    the bias gradient stay one pass each.
+    multiple of 8 is cut: with OpenBLAS 0.3.31, float64 column cuts of other
+    dimensions measured inexact in the last ``v % 8`` columns (float32 cuts
+    measured exact).  The loss (:func:`_mean_nll`) and the bias gradient
+    stay one pass each.
     """
     n, v = feats.shape
     probs = _probs_into(weights, bias, feats, buf, buf_t, threads)
     picks = (rows[:n], label_idx)
-    loss = float(-np.log(np.maximum(probs[picks], 1e-300)).mean())
+    loss = _mean_nll(probs[picks])
     probs[picks] -= 1.0
     probs /= n
     grad_w = np.empty_like(weights)
@@ -525,6 +532,13 @@ def _loss_and_grad_into(
 
     threads.each(block, _blocks(v, 256, probs.size) if v % 8 == 0 else [(0, v)])
     return loss, grad_w, probs.sum(axis=0)
+
+
+def _mean_nll(picked: np.ndarray) -> float:
+    """Mean negative log of the true-class probabilities, floored at
+    ``1e-300``, in float64 whatever their dtype: in float32 the floor is 0,
+    so an underflowed probability would read as a diverged fit."""
+    return float(-np.log(np.maximum(picked, 1e-300, dtype=np.float64)).mean())
 
 
 def cross_entropy_and_grad(
@@ -548,14 +562,20 @@ def fit_classifier(
 ) -> Classifier:
     """Gradient-descent softmax regression; deterministic given the seed.
 
+    The fit trains in float32: the features are cast once, and the weights,
+    bias, softmax buffers and in-place updates are float32.  Each epoch's
+    loss is computed in float64 (:func:`_mean_nll`), and the returned
+    weights and bias are upcast to float64.  A learning rate or weights
+    beyond float32's range end in the "training diverged" error.
+
     Every epoch reuses two softmax buffers and updates the parameters in
     place, so a fit allocates no (rows, classes) array per step.  When the
     full batch has more than one row block (:func:`_probs_into`), the fit
     runs on one thread per available CPU, at most one per block: the
     helpers live in a pool that this call shuts down, joining them, before
-    it returns.
+    it returns.  The bytes do not depend on the CPU count.
     """
-    feats = np.asarray(features, dtype=np.float64)
+    feats = np.asarray(features, dtype=np.float32)
     labels = list(labels)
     if feats.ndim != 2 or feats.shape[0] == 0:
         raise ValueError("training data must be a non-empty 2-D array")
@@ -570,9 +590,10 @@ def fit_classifier(
 
     n, v = feats.shape
     c = len(class_list)
-    weights = np.zeros((c, v))
-    bias = np.zeros(c)
-    rows, buf, buf_t = np.arange(n), np.empty((n, c)), np.empty((c, n))
+    weights = np.zeros((c, v), dtype=np.float32)
+    bias = np.zeros(c, dtype=np.float32)
+    buf, buf_t = np.empty((n, c), dtype=np.float32), np.empty((c, n), dtype=np.float32)
+    rows = np.arange(n)
     rng = np.random.default_rng(config.seed)
     history = []
     count = 1 if _one_thread_per_fit else min(available_cpus(), len(_blocks(n, 8, v * c)))
@@ -586,8 +607,7 @@ def fit_classifier(
     threads = _Threads(pool, count)
 
     def full_loss() -> float:
-        probs = _probs_into(weights, bias, feats, buf, buf_t, threads)
-        return float(-np.log(np.maximum(probs[rows, y], 1e-300)).mean())
+        return _mean_nll(_probs_into(weights, bias, feats, buf, buf_t, threads)[rows, y])
 
     def step(x: np.ndarray, label_idx: np.ndarray) -> float:
         nonlocal weights, bias  # updated in place
@@ -621,8 +641,8 @@ def fit_classifier(
         )
     return Classifier(
         classes=tuple(class_list),
-        weights=weights,
-        bias=bias,
+        weights=weights.astype(np.float64),
+        bias=bias.astype(np.float64),
         config=config,
         loss_history=tuple(history),
     )
@@ -678,7 +698,8 @@ def fit_predict_unseen(
     counts = dict.fromkeys(sorted(bundle.split.unseen), n_per_class)
     feats, labels = sample_per_class(gen, bundle.semantics, counts, seed, *stream)
     if not bundle.split.unseen.issuperset(candidates):
-        feats = np.concatenate([feats, train.features.astype(np.float64)])
+        # the classifier trains in float32, so the seen rows join as they are
+        feats = np.concatenate([feats, train.features], dtype=np.float32)
         labels.extend(train.labels)
     clf = fit_classifier(feats, labels, candidates, classifier)
     return predict_classifier_batch(clf, test)

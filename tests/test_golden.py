@@ -97,8 +97,8 @@ SYNTH = "368d3ee158b9432343ae62777709129b8793865cb545e62c0b5a84f1d6655a80"
 # batch size -> digest of weights, bias and loss history of one classifier fit
 # (203 rows, 10 classes); a batch of 16 leaves a short last batch of 11 rows
 FITS = {
-    None: "b56b0877de33c1473fd7bff4fe77ed0fc1d04035450d4457ba2b6a9a5aa2d86a",
-    16: "c79bf23ceff3841c6e59240ef09f5e9a5214ea9a5f901ac12786d8526ea099d2",
+    None: "24775c72d6772f7655b5fa287005fcad84f6176000c43e2fd42aa6c5ef7cc878",
+    16: "2af384a2f3fe60118336f6e8ac9112cb21b0e198413eb0fe434a57040487740e",
 }
 
 # name -> (analyze flags after --mode contrastive, digest of contrastive.json)

@@ -290,6 +290,20 @@ class TestFitGenerator:
         with_synth = fit_generator(bundle.train_seen, bundle.semantics, ridge=0.1, synth=synth)
         assert not np.array_equal(without.coeff, with_synth.coeff)
 
+    def test_a_cached_refit_holds_no_float64_copy_of_the_table(self, rng):
+        # 40 classes of 75 rows, 128-d: one class in float64 is 75 KiB
+        labels = [f"s{i % 40:02d}" for i in range(3000)]
+        train = table(rng.normal(size=(3000, 128)), labels)
+        sem = SemanticTable(vectors={c: rng.normal(size=16) for c in set(labels)})
+        fit_generator(train, sem, 0.1)  # caches the class statistics
+        tracemalloc.start()
+        try:
+            fit_generator(train, sem, 0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * train.features.nbytes
+
 
 class TestFitPredictUnseen:
     @pytest.mark.parametrize("base", ["embedding", "generative"])
@@ -538,42 +552,90 @@ class TestClassifier:
         with pytest.raises(ValueError, match="epoch"):
             fit_classifier(feats, labels, config=ClassifierConfig(learning_rate=1e308))
 
-    def test_buffered_kernel_is_bit_equal_to_the_direct_form(self, rng):
+    @staticmethod
+    def assert_kernel_is_direct(w, b, feats, y, rows, threads=_Threads()):
+        """The buffered kernel against the direct form in fresh arrays of the
+        inputs' dtype, with the loss in float64."""
+        n, c = len(feats), len(w)
+        probs = _softmax(feats @ w.T + b)
+        loss = float(-np.log(np.maximum(probs[np.arange(n), y], 1e-300, dtype=np.float64)).mean())
+        probs[np.arange(n), y] -= 1.0
+        probs /= n
+        got = _loss_and_grad_into(w, b, feats, y, np.arange(rows),
+                                  np.full((rows, c), np.nan, dtype=feats.dtype),
+                                  np.empty((c, rows), dtype=feats.dtype), threads)
+        assert got[0] == loss
+        assert got[1].dtype == got[2].dtype == feats.dtype
+        assert got[1].tobytes() == (probs.T @ feats).tobytes()
+        assert got[2].tobytes() == probs.sum(axis=0).tobytes()
+
+    def buffered_kernel_cases(self, rng, dtype):
         """Row counts off every GEMM tile, and batches shorter than the buffers."""
         for n, v, c, rows in [(997, 64, 33, 1000), (500, 24, 20, 500), (7, 3, 2, 40),
                               (203, 16, 10, 216), (61, 512, 50, 61)]:
-            feats = rng.normal(size=(n, v))
+            feats = rng.normal(size=(n, v)).astype(dtype)
             y = rng.integers(0, c, size=n)
-            w, b = rng.normal(size=(c, v)) * 0.3, rng.normal(size=c)
-            probs = _softmax(feats @ w.T + b)
-            loss = float(-np.log(np.maximum(probs[np.arange(n), y], 1e-300)).mean())
-            probs[np.arange(n), y] -= 1.0
-            probs /= n
-            got = _loss_and_grad_into(
-                w, b, feats, y, np.arange(rows), np.full((rows, c), np.nan), np.empty((c, rows))
-            )
-            assert got[0] == loss
-            assert got[1].tobytes() == (probs.T @ feats).tobytes()
-            assert got[2].tobytes() == probs.sum(axis=0).tobytes()
+            w, b = (rng.normal(size=(c, v)) * 0.3).astype(dtype), rng.normal(size=c).astype(dtype)
+            self.assert_kernel_is_direct(w, b, feats, y, rows)
 
-    def test_blocked_kernel_is_bit_equal_to_the_direct_form_at_cub_shape(self, rng):
+    def test_buffered_kernel_is_bit_equal_to_the_direct_form(self, rng):
+        self.buffered_kernel_cases(rng, np.float64)
+
+    def test_float32_buffered_kernel_is_bit_equal_to_the_direct_form(self, rng):
+        self.buffered_kernel_cases(rng, np.float32)
+
+    def cub_shape_case(self, rng, dtype):
         n, v, c = 6000, 512, 50
         assert len(_blocks(n, 8, v * c)) == 8 and len(_blocks(v, 256, n * c)) == 2
-        feats = rng.normal(size=(n, v))
+        feats = rng.normal(size=(n, v)).astype(dtype)
         y = rng.integers(0, c, size=n)
-        w, b = rng.normal(size=(c, v)) * 0.1, rng.normal(size=c)
-        probs = _softmax(feats @ w.T + b)
-        loss = float(-np.log(np.maximum(probs[np.arange(n), y], 1e-300)).mean())
-        probs[np.arange(n), y] -= 1.0
-        probs /= n
+        w, b = (rng.normal(size=(c, v)) * 0.1).astype(dtype), rng.normal(size=c).astype(dtype)
         with ThreadPoolExecutor(1) as pool:
             for threads in (_Threads(), _Threads(pool, 2)):
-                got = _loss_and_grad_into(
-                    w, b, feats, y, np.arange(n), np.empty((n, c)), np.empty((c, n)), threads
-                )
-                assert got[0] == loss
-                assert got[1].tobytes() == (probs.T @ feats).tobytes()
-                assert got[2].tobytes() == probs.sum(axis=0).tobytes()
+                self.assert_kernel_is_direct(w, b, feats, y, n, threads)
+
+    def test_blocked_kernel_is_bit_equal_to_the_direct_form_at_cub_shape(self, rng):
+        self.cub_shape_case(rng, np.float64)
+
+    def test_float32_blocked_kernel_is_bit_equal_to_the_direct_form_at_cub_shape(self, rng):
+        self.cub_shape_case(rng, np.float32)
+
+    def test_fit_trains_in_float32_and_returns_float64_parameters(self, rng):
+        feats = rng.normal(size=(30, 3))
+        clf = fit_classifier(feats, [f"c{i % 3}" for i in range(30)])
+        assert clf.weights.dtype == clf.bias.dtype == np.float64
+        for param in (clf.weights, clf.bias):
+            assert param.astype(np.float32).astype(np.float64).tobytes() == param.tobytes()
+
+    def test_float32_fit_tracks_a_float64_reference(self, rng):
+        # the same descent in float64; float32 rounding stays within a
+        # hundred float32 epsilons of the largest weight
+        n, v, c = 203, 16, 10
+        y = rng.integers(0, c, size=n)
+        feats = (rng.normal(size=(c, v))[y] + rng.normal(size=(n, v))).astype(np.float32)
+        config = ClassifierConfig(learning_rate=0.3, epochs=60)
+        clf = fit_classifier(feats, [f"c{i}" for i in y], [f"c{i}" for i in range(c)], config)
+        feats = feats.astype(np.float64)
+        w, b, history = np.zeros((c, v)), np.zeros(c), []
+        for _ in range(config.epochs):
+            loss, gw, gb = cross_entropy_and_grad(w, b, feats, y)
+            history.append(loss)
+            w, b = w - config.learning_rate * gw, b - config.learning_rate * gb
+        history.append(cross_entropy_and_grad(w, b, feats, y)[0])
+        tol = 100 * np.finfo(np.float32).eps
+        np.testing.assert_allclose(clf.weights, w, rtol=0, atol=tol * np.abs(w).max())
+        np.testing.assert_allclose(clf.bias, b, rtol=0, atol=tol * np.abs(w).max())
+        np.testing.assert_allclose(clf.loss_history, history, rtol=tol)
+
+    def test_an_underflowed_probability_keeps_a_finite_float64_loss(self):
+        # after the first step the last row's true class "b" has probability
+        # 0 in float32; its loss is the 1e-300 floor, not a divergence
+        feats = np.array([[10.0]] * 3 + [[-10.0]] * 3 + [[10.0]])
+        clf = fit_classifier(feats, list("aaabbbb"),
+                             config=ClassifierConfig(learning_rate=10.0, epochs=3))
+        w, b = clf.weights.astype(np.float32), clf.bias.astype(np.float32)
+        assert _softmax(feats.astype(np.float32) @ w.T + b)[-1, 1] == 0
+        assert clf.loss_history[1:] == pytest.approx((-math.log(1e-300) / 7,) * 3)
 
     @settings(max_examples=15, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
