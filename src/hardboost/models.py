@@ -15,16 +15,16 @@ and therefore exactly reproducible.
   float32, while each epoch's loss is computed in float64.  The fitted
   weights and bias come back upcast to float64, which is exact, so
   prediction runs in float64.  Every step of a fit runs one kernel,
-  :func:`_loss_and_grad_into`, in two softmax buffers allocated once per
-  fit, and updates the parameters in place.  Its results are bit-equal to
-  the direct form, ``_softmax(feats @ weights.T + bias)`` in fresh arrays of
-  the input dtype.  A large step is cut into blocks: the logits GEMM and the
-  softmax into row blocks, and the gradient GEMM into column blocks (see
-  :func:`_blocks`).  The cuts depend on the array shapes alone.  A fit that
-  has blocks to share starts one helper thread per further available CPU
-  (at most one per block) and joins them before it returns; the threads
-  only decide who computes which block, so the bytes do not depend on the
-  CPU count.
+  :func:`_loss_and_grad_into`, in two buffers allocated once per fit, and
+  updates the parameters in place.  After the logits GEMM it runs
+  class-major, in one C-ordered (classes, rows) buffer, bit-equal to that
+  direct form in fresh arrays of the input dtype.  A large step is cut into
+  blocks: the logits GEMM and the softmax into row blocks, and the gradient
+  GEMM into column blocks (see :func:`_blocks`), by the array shapes alone.
+  A fit that has blocks to share starts one helper thread per further
+  available CPU (at most one per block) and joins them before it returns;
+  the threads only decide who computes which block, so the bytes do not
+  depend on the fit's thread count (OpenBLAS's own threads can change them).
 
 Every fit reads a training table's class means through the per-class
 statistics the table caches (:meth:`~hardboost.data.FeatureTable.class_stats`),
@@ -40,6 +40,7 @@ statistics instead of building the merged table.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import os
 import queue
@@ -400,12 +401,6 @@ class Classifier:
         return feats @ self.weights.T + self.bias
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
-
-
 # A block holds at least this many multiply-adds.  That keeps a thread's
 # share worth its hand-off, and keeps every GEMM block above the 1 M
 # multiply-adds at or below which OpenBLAS takes its small-matrix kernels,
@@ -418,7 +413,8 @@ _MAX_BLOCKS = 8
 _one_thread_per_fit = False
 
 
-def _blocks(length: int, unit: int, madds_per_item: int) -> list[tuple[int, int]]:
+@functools.lru_cache(maxsize=64)
+def _blocks(length: int, unit: int, madds_per_item: int) -> tuple[tuple[int, int], ...]:
     """``(start, stop)`` ranges that cover ``range(length)`` in order.
 
     The ranges are cut at multiples of ``unit``, at most ``_MAX_BLOCKS`` of
@@ -429,9 +425,9 @@ def _blocks(length: int, unit: int, madds_per_item: int) -> list[tuple[int, int]
     units = length // unit
     count = min(_MAX_BLOCKS, units // -(-_BLOCK_MADDS // max(unit * madds_per_item, 1)))
     if count < 2:
-        return [(0, length)]
+        return ((0, length),)
     bounds = [unit * (i * units // count) for i in range(count)] + [length]
-    return list(zip(bounds, bounds[1:]))
+    return tuple(zip(bounds, bounds[1:]))
 
 
 @dataclass(frozen=True)
@@ -441,7 +437,7 @@ class _Threads:
     pool: ThreadPoolExecutor | None = None
     count: int = 1
 
-    def each(self, fn, blocks: list[tuple[int, int]]) -> None:
+    def each(self, fn, blocks: tuple[tuple[int, int], ...]) -> None:
         """``fn(start, stop)`` for every block.  The threads, this one among
         them, take the blocks in turn from one queue, so a thread the OS
         holds back leaves its blocks to the others."""
@@ -472,17 +468,17 @@ def _probs_into(
     weights: np.ndarray, bias: np.ndarray, feats: np.ndarray,
     buf: np.ndarray, buf_t: np.ndarray, threads: _Threads = _Threads(),
 ) -> np.ndarray:
-    """``_softmax(feats @ weights.T + bias)``, bit for bit, in the first rows of ``buf``.
+    """The softmax of ``feats @ weights.T + bias`` as a C-ordered (classes,
+    rows) view of the first ``classes * len(feats)`` items of flat ``buf_t``.
 
-    ``buf`` is a C-ordered (rows, classes) buffer and ``buf_t`` a (classes,
-    rows) one, each with room for ``len(feats)`` rows.  Every array has one
-    dtype, float64 or float32, and every step computes in it.  The logits
-    GEMM keeps the ``feats @ weights.T`` layout: ``weights @ feats.T`` is
-    faster but rounds differently for some row counts.  The bias add and the
-    max over classes run on a transposed copy, where each is one pass over
-    long rows and exact in any order; the exp and the row sums run on
-    ``buf``, since the same numbers summed along strided rows round
-    differently.
+    ``buf`` is a C-ordered (rows, classes) buffer with room for
+    ``len(feats)`` rows.  Every array has one dtype, float64 or float32, and
+    every step computes in it.  The logits GEMM keeps the
+    ``feats @ weights.T`` layout: ``weights @ feats.T`` is slower here and
+    rounds differently for some row counts.  The bias add moves the logits
+    into the class-major view, where the max, the exp and the sum over
+    classes run, so each row's sum adds its classes in class order: bit for
+    bit the direct form on ``np.ascontiguousarray((feats @ weights.T).T)``.
 
     Every step works on one row, so the rows are cut into blocks of 8-row
     multiples (:func:`_blocks`), which ``threads`` share.  A row's product
@@ -490,55 +486,56 @@ def _probs_into(
     OpenBLAS's small-matrix size, the same size for float32 as for float64.
     """
     n = feats.shape[0]
+    probs = buf_t[: weights.shape[0] * n].reshape(-1, n)
 
     def block(start: int, stop: int) -> None:
-        probs, logits_t = buf[start:stop], buf_t[:, start:stop]
-        np.matmul(feats[start:stop], weights.T, out=probs)
-        np.copyto(logits_t, probs.T)
-        logits_t += bias[:, None]
-        np.subtract(logits_t.T, logits_t.max(axis=0)[:, None], out=probs)
-        np.exp(probs, out=probs)
-        probs /= probs.sum(axis=1, keepdims=True)
+        logits, cols = buf[start:stop], probs[:, start:stop]
+        np.matmul(feats[start:stop], weights.T, out=logits)
+        np.add(logits.T, bias[:, None], out=cols)
+        cols -= cols.max(axis=0)
+        np.exp(cols, out=cols)
+        cols /= cols.sum(axis=0)
 
     threads.each(block, _blocks(n, 8, weights.size))
-    return buf[:n]
+    return probs
 
 
 def _loss_and_grad_into(
-    weights: np.ndarray, bias: np.ndarray, feats: np.ndarray, label_idx: np.ndarray,
-    rows: np.ndarray, buf: np.ndarray, buf_t: np.ndarray, threads: _Threads = _Threads(),
+    weights: np.ndarray, bias: np.ndarray, feats: np.ndarray, picks: np.ndarray,
+    buf: np.ndarray, buf_t: np.ndarray, threads: _Threads = _Threads(),
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """:func:`cross_entropy_and_grad` in the buffers of :func:`_probs_into`.
 
-    ``rows`` is ``np.arange(k)`` for some ``k >= len(feats)``.  The weight
-    gradient ``probs.T @ feats`` is cut into blocks of feature columns at
-    multiples of 256, which ``threads`` share; every block sums over all
-    rows, in the whole product's order.  Only a feature dimension that is a
-    multiple of 8 is cut: with OpenBLAS 0.3.31, float64 column cuts of other
-    dimensions measured inexact in the last ``v % 8`` columns (float32 cuts
-    measured exact).  The loss (:func:`_mean_nll`) and the bias gradient
-    stay one pass each.
+    ``picks[i]`` is row ``i``'s flat index ``label * len(feats) + i`` into
+    the class-major probabilities.  The weight gradient ``probs_t @ feats``
+    is cut into blocks of feature columns at multiples of 256, which
+    ``threads`` share; every block sums over all rows, in the whole product's
+    order.  Only a feature dimension that is a multiple of 8 is cut: with
+    OpenBLAS 0.3.31, float64 column cuts of other dimensions measured inexact
+    in the last ``v % 8`` columns (float32 cuts measured exact).  The loss
+    (:func:`_mean_nll`) and the bias gradient (along rows) are one pass each.
     """
     n, v = feats.shape
     probs = _probs_into(weights, bias, feats, buf, buf_t, threads)
-    picks = (rows[:n], label_idx)
-    loss = _mean_nll(probs[picks])
-    probs[picks] -= 1.0
+    flat = probs.reshape(-1)
+    loss = _mean_nll(flat[picks])
+    flat[picks] -= 1.0
     probs /= n
     grad_w = np.empty_like(weights)
 
     def block(start: int, stop: int) -> None:
-        np.matmul(probs.T, feats[:, start:stop], out=grad_w[:, start:stop])
+        np.matmul(probs, feats[:, start:stop], out=grad_w[:, start:stop])
 
-    threads.each(block, _blocks(v, 256, probs.size) if v % 8 == 0 else [(0, v)])
-    return loss, grad_w, probs.sum(axis=0)
+    threads.each(block, _blocks(v, 256, probs.size) if v % 8 == 0 else ((0, v),))
+    return loss, grad_w, probs.sum(axis=1)
 
 
 def _mean_nll(picked: np.ndarray) -> float:
     """Mean negative log of the true-class probabilities, floored at
     ``1e-300``, in float64 whatever their dtype: in float32 the floor is 0,
     so an underflowed probability would read as a diverged fit."""
-    return float(-np.log(np.maximum(picked, 1e-300, dtype=np.float64)).mean())
+    logs = np.log(np.maximum(picked, 1e-300, dtype=np.float64))
+    return float(-logs.sum() / logs.size)
 
 
 def cross_entropy_and_grad(
@@ -549,9 +546,8 @@ def cross_entropy_and_grad(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Mean cross-entropy of softmax(features @ W.T + b) and its gradients."""
     n, c = features.shape[0], weights.shape[0]
-    return _loss_and_grad_into(
-        weights, bias, features, label_idx, np.arange(n), np.empty((n, c)), np.empty((c, n))
-    )
+    picks = np.asarray(label_idx) * n + np.arange(n)
+    return _loss_and_grad_into(weights, bias, features, picks, np.empty((n, c)), np.empty(c * n))
 
 
 def fit_classifier(
@@ -568,12 +564,14 @@ def fit_classifier(
     weights and bias are upcast to float64.  A learning rate or weights
     beyond float32's range end in the "training diverged" error.
 
-    Every epoch reuses two softmax buffers and updates the parameters in
-    place, so a fit allocates no (rows, classes) array per step.  When the
+    Every epoch reuses the two buffers of :func:`_probs_into`, a mini-batch
+    of ``m`` rows their contiguous ``m``-row prefixes, and updates the
+    parameters in place, so a fit allocates no (rows, classes) array per
+    step.  The full batch's flat label picks are computed once.  When the
     full batch has more than one row block (:func:`_probs_into`), the fit
     runs on one thread per available CPU, at most one per block: the
     helpers live in a pool that this call shuts down, joining them, before
-    it returns.  The bytes do not depend on the CPU count.
+    it returns.  The bytes do not depend on the fit's thread count.
     """
     feats = np.asarray(features, dtype=np.float32)
     labels = list(labels)
@@ -592,8 +590,9 @@ def fit_classifier(
     c = len(class_list)
     weights = np.zeros((c, v), dtype=np.float32)
     bias = np.zeros(c, dtype=np.float32)
-    buf, buf_t = np.empty((n, c), dtype=np.float32), np.empty((c, n), dtype=np.float32)
+    buf, buf_t = np.empty((n, c), dtype=np.float32), np.empty(c * n, dtype=np.float32)
     rows = np.arange(n)
+    picks = y * n + rows
     rng = np.random.default_rng(config.seed)
     history = []
     count = 1 if _one_thread_per_fit else min(available_cpus(), len(_blocks(n, 8, v * c)))
@@ -607,13 +606,12 @@ def fit_classifier(
     threads = _Threads(pool, count)
 
     def full_loss() -> float:
-        return _mean_nll(_probs_into(weights, bias, feats, buf, buf_t, threads)[rows, y])
+        probs = _probs_into(weights, bias, feats, buf, buf_t, threads)
+        return _mean_nll(probs.reshape(-1)[picks])
 
-    def step(x: np.ndarray, label_idx: np.ndarray) -> float:
+    def step(x: np.ndarray, x_picks: np.ndarray) -> float:
         nonlocal weights, bias  # updated in place
-        loss, gw, gb = _loss_and_grad_into(
-            weights, bias, x, label_idx, rows, buf, buf_t, threads
-        )
+        loss, gw, gb = _loss_and_grad_into(weights, bias, x, x_picks, buf, buf_t, threads)
         gw *= config.learning_rate
         weights -= gw
         gb *= config.learning_rate
@@ -623,13 +621,13 @@ def fit_classifier(
     with pool or contextlib.nullcontext():
         for epoch in range(config.epochs):
             if config.batch_size is None or config.batch_size >= n:
-                history.append(step(feats, y))
+                history.append(step(feats, picks))
             else:
                 history.append(full_loss())
                 order = rng.permutation(n)
                 for start in range(0, n, config.batch_size):
                     chunk = order[start : start + config.batch_size]
-                    step(feats[chunk], y[chunk])
+                    step(feats[chunk], y[chunk] * len(chunk) + rows[: len(chunk)])
             if not (np.isfinite(history[-1]) and np.isfinite(weights).all()):
                 raise ValueError(
                     f"training diverged at epoch {epoch}; lower the learning rate"
@@ -646,10 +644,6 @@ def fit_classifier(
         config=config,
         loss_history=tuple(history),
     )
-
-
-def predict_proba(model: Classifier, features: np.ndarray) -> np.ndarray:
-    return _softmax(model.logits(features))
 
 
 def predict_classifier_batch(model: Classifier, features: np.ndarray) -> list[str]:

@@ -97,8 +97,8 @@ SYNTH = "368d3ee158b9432343ae62777709129b8793865cb545e62c0b5a84f1d6655a80"
 # batch size -> digest of weights, bias and loss history of one classifier fit
 # (203 rows, 10 classes); a batch of 16 leaves a short last batch of 11 rows
 FITS = {
-    None: "24775c72d6772f7655b5fa287005fcad84f6176000c43e2fd42aa6c5ef7cc878",
-    16: "2af384a2f3fe60118336f6e8ac9112cb21b0e198413eb0fe434a57040487740e",
+    None: "9a391979e3d299a3899d8078206fe3539cbe157b3f54a1a197754d84e948930c",
+    16: "c368f7282d06de6e0ae538770a410c4527bc1540e07820cd8a81a48fb6b1256f",
 }
 
 # name -> (analyze flags after --mode contrastive, digest of contrastive.json)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_harst import relabel
 
 from hardboost import hars as hars_module
-from hardboost.benchmark import make_benchmark, standard_benchmark_spec
+from hardboost.benchmark import BenchmarkSpec, make_benchmark, standard_benchmark_spec
 from hardboost.config import RunConfig
 from hardboost.data import ClassSplit, FeatureTable, SemanticTable
 from hardboost.hars import (
@@ -254,3 +257,25 @@ def test_synth_set_field_lengths_checked():
             source_rows=np.zeros((1, 2), dtype=np.intp),
             source_classes=np.array([["a", "b"], ["a", "b"]]),
         )
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    names=st.sets(st.text("ab_z019", min_size=1, max_size=5), min_size=11, max_size=11),
+)
+def test_order_preserving_relabel_maps_predictions_and_hard_set(seed, names):
+    """Ties break on class id, and the classifier trains over the sorted ids,
+    so an order-preserving relabel maps predictions and the hard set one to one."""
+    bundle, _, _ = make_benchmark(BenchmarkSpec(
+        seen_count=6, unseen_count=5, semantic_dim=12, visual_dim=6, n_per_class=6,
+        hard_pairs=1, affinity_gap=0.2, noise_scale=0.3, seed=seed,
+    ))
+    rename = dict(zip(sorted(bundle.split.all_classes), sorted(names)))
+    config = RunConfig(hard_count=2, n_unseen=20, seed=seed,
+                       classifier=ClassifierConfig(epochs=20))
+    preds, hardness, report = run_hars(bundle, config)
+    renamed_preds, renamed_hardness, renamed_report = run_hars(relabel(bundle, rename), config)
+    assert renamed_preds == [rename[c] for c in preds]
+    assert renamed_hardness.hard == tuple(rename[c] for c in hardness.hard)
+    assert renamed_report.acc_u == report.acc_u

@@ -370,6 +370,29 @@ def test_order_preserving_relabel_maps_embedding_predictions(
 ):
     """Ties break on class id, so only a relabel that keeps the id order is
     an invariance: predictions and every hard set map through it."""
+    assert_relabel_maps_harst(seed, names, ship_priors, metric=metric, label_space=label_space,
+                              base_model="embedding")
+
+
+# the generative base trains a softmax classifier over the sorted class ids,
+# so its label picks follow the class index; a short fit keeps this quick
+@pytest.mark.filterwarnings("ignore:hard class .* has an empty pseudo-label pool")
+@pytest.mark.parametrize("label_space", ["unseen", "all"])
+@settings(max_examples=8, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    names=st.sets(st.text("ab_z019", min_size=1, max_size=5), min_size=11, max_size=11),
+    ship_priors=st.booleans(),
+)
+def test_order_preserving_relabel_maps_generative_predictions(
+    label_space, seed, names, ship_priors
+):
+    assert_relabel_maps_harst(seed, names, ship_priors, metric="cf", label_space=label_space,
+                              base_model="generative", n_unseen=20,
+                              classifier=ClassifierConfig(epochs=20))
+
+
+def assert_relabel_maps_harst(seed, names, ship_priors, **config):
     from dataclasses import replace as replace_bundle
 
     bundle, _, _ = make_benchmark(BenchmarkSpec(
@@ -379,8 +402,7 @@ def test_order_preserving_relabel_maps_embedding_predictions(
     if not ship_priors:
         bundle = replace_bundle(bundle, class_priors=None)
     rename = dict(zip(sorted(bundle.split.all_classes), sorted(names)))
-    config = RunConfig(hard_count=2, iterations=3, metric=metric, base_model="embedding",
-                       label_space=label_space, seed=seed)
+    config = RunConfig(hard_count=2, iterations=3, seed=seed, **config)
     preds, trace = run_harst(bundle, config)
     renamed_preds, renamed_trace = run_harst(relabel(bundle, rename), config)
     assert renamed_preds == [rename[c] for c in preds]

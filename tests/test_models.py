@@ -19,7 +19,6 @@ from hardboost.models import (
     _loss_and_grad_into,
     _Threads,
     _ridge_solve,
-    _softmax,
     Classifier,
     ClassifierConfig,
     EmbeddingModel,
@@ -34,7 +33,6 @@ from hardboost.models import (
     fit_predict_unseen,
     nearest_rows,
     predict_classifier_batch,
-    predict_proba,
     sample_generator,
     sample_per_class,
 )
@@ -43,6 +41,12 @@ from hardboost.rng import child_seed
 
 def table(features, labels):
     return FeatureTable(features=np.asarray(features, dtype=np.float32), labels=tuple(labels))
+
+
+def softmax(logits):
+    """Row-wise softmax of a (rows, classes) logits array."""
+    exp = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return exp / exp.sum(axis=1, keepdims=True)
 
 
 def fit_embedding_rows(sem_rows, targets, ridge=0.0):
@@ -502,7 +506,7 @@ class TestClassifier:
         feats = rng.normal(size=(12, 3))
         labels = [f"c{i % 4}" for i in range(12)]
         model = fit_classifier(feats, labels)
-        probs = predict_proba(model, rng.normal(size=(50, 3)) * 10)
+        probs = softmax(model.logits(rng.normal(size=(50, 3)) * 10))
         assert (probs >= 0).all()
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
@@ -542,7 +546,7 @@ class TestClassifier:
         )
         probe = rng.normal(size=(40, 3)) * 2
         np.testing.assert_allclose(
-            predict_proba(single, probe), predict_proba(doubled, probe), atol=1e-6
+            softmax(single.logits(probe)), softmax(doubled.logits(probe)), atol=1e-6
         )
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -554,20 +558,25 @@ class TestClassifier:
 
     @staticmethod
     def assert_kernel_is_direct(w, b, feats, y, rows, threads=_Threads()):
-        """The buffered kernel against the direct form in fresh arrays of the
-        inputs' dtype, with the loss in float64."""
+        """The buffered kernel, in buffers with room for ``rows`` rows, against
+        the class-major direct form in fresh C-ordered arrays of the inputs'
+        dtype, with the loss in float64.  The reference must be C-ordered:
+        an F-ordered ``(feats @ w.T).T`` would sum each row's classes pairwise."""
         n, c = len(feats), len(w)
-        probs = _softmax(feats @ w.T + b)
-        loss = float(-np.log(np.maximum(probs[np.arange(n), y], 1e-300, dtype=np.float64)).mean())
-        probs[np.arange(n), y] -= 1.0
+        logits = np.ascontiguousarray((feats @ w.T).T) + b[:, None]
+        probs = np.exp(logits - logits.max(axis=0))
+        probs /= probs.sum(axis=0)
+        picks = (y, np.arange(n))
+        loss = float(-np.log(np.maximum(probs[picks], 1e-300, dtype=np.float64)).mean())
+        probs[picks] -= 1.0
         probs /= n
-        got = _loss_and_grad_into(w, b, feats, y, np.arange(rows),
+        got = _loss_and_grad_into(w, b, feats, y * n + np.arange(n),
                                   np.full((rows, c), np.nan, dtype=feats.dtype),
-                                  np.empty((c, rows), dtype=feats.dtype), threads)
+                                  np.full(c * rows, np.nan, dtype=feats.dtype), threads)
         assert got[0] == loss
         assert got[1].dtype == got[2].dtype == feats.dtype
-        assert got[1].tobytes() == (probs.T @ feats).tobytes()
-        assert got[2].tobytes() == probs.sum(axis=0).tobytes()
+        assert got[1].tobytes() == (probs @ feats).tobytes()
+        assert got[2].tobytes() == probs.sum(axis=1).tobytes()
 
     def buffered_kernel_cases(self, rng, dtype):
         """Row counts off every GEMM tile, and batches shorter than the buffers."""
@@ -599,6 +608,28 @@ class TestClassifier:
 
     def test_float32_blocked_kernel_is_bit_equal_to_the_direct_form_at_cub_shape(self, rng):
         self.cub_shape_case(rng, np.float32)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(1, 1500).filter(lambda n: n % 8),
+        extra=st.sampled_from([0, 1, 9, 200]),  # buffers with room for a longer batch
+        # cut into column blocks (a multiple of 8, at least 512, and enough
+        # rows times classes) or not
+        v=st.sampled_from([3, 24, 130, 512, 520, 777]),
+        c=st.integers(2, 61),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocked_kernel_is_bit_equal_to_the_class_major_form(
+        self, n, extra, v, c, dtype, seed
+    ):
+        rng = np.random.default_rng(seed)
+        feats = rng.normal(size=(n, v)).astype(dtype)
+        y = rng.integers(0, c, size=n)
+        w, b = (rng.normal(size=(c, v)) * 0.1).astype(dtype), rng.normal(size=c).astype(dtype)
+        with ThreadPoolExecutor(1) as pool:
+            for threads in (_Threads(), _Threads(pool, 2)):
+                self.assert_kernel_is_direct(w, b, feats, y, n + extra, threads)
 
     def test_fit_trains_in_float32_and_returns_float64_parameters(self, rng):
         feats = rng.normal(size=(30, 3))
@@ -634,7 +665,7 @@ class TestClassifier:
         clf = fit_classifier(feats, list("aaabbbb"),
                              config=ClassifierConfig(learning_rate=10.0, epochs=3))
         w, b = clf.weights.astype(np.float32), clf.bias.astype(np.float32)
-        assert _softmax(feats.astype(np.float32) @ w.T + b)[-1, 1] == 0
+        assert softmax(feats.astype(np.float32) @ w.T + b)[-1, 1] == 0
         assert clf.loss_history[1:] == pytest.approx((-math.log(1e-300) / 7,) * 3)
 
     @settings(max_examples=15, deadline=None,
