@@ -39,7 +39,6 @@ from .evaluation import (
     HardEasyOracle,
     amr,
     apr,
-    confusion_matrix,
     contrastive_analysis,
     evaluate,
     evaluate_if_labeled,

@@ -52,7 +52,6 @@ class BenchmarkSpec:
     noise_scale: float
     seed: int
     unseen_counts: dict[str, int] | None = None  # per-class test row overrides
-    w0: np.ndarray | None = None
 
     def __post_init__(self):
         if min(self.seen_count, self.unseen_count, self.n_per_class) < 1:
@@ -177,16 +176,9 @@ def make_benchmark(
     protos = {cls: vec @ rotation.T for cls, vec in protos.items()}
     semantics = SemanticTable(vectors=protos)
 
-    if spec.w0 is not None:
-        w0 = np.asarray(spec.w0, dtype=np.float64)
-        if w0.shape != (spec.visual_dim, spec.semantic_dim):
-            raise ValueError(
-                f"w0 must have shape {(spec.visual_dim, spec.semantic_dim)}, got {w0.shape}"
-            )
-    else:
-        w0 = substream(spec.seed, "visual-map").standard_normal(
-            (spec.visual_dim, spec.semantic_dim)
-        ) / math.sqrt(spec.semantic_dim)
+    w0 = substream(spec.seed, "visual-map").standard_normal(
+        (spec.visual_dim, spec.semantic_dim)
+    ) / math.sqrt(spec.semantic_dim)
 
     seen = seen_class_ids(spec)
     unseen = unseen_class_ids(spec)

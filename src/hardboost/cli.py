@@ -227,28 +227,16 @@ def _cmd_synth(args) -> int:
 
 
 def load_benchmark_spec(path) -> BenchmarkSpec:
-    allowed = {
-        "seen_count",
-        "unseen_count",
-        "semantic_dim",
-        "visual_dim",
-        "n_per_class",
-        "hard_pairs",
-        "affinity_gap",
-        "noise_scale",
-        "seed",
-        "unseen_counts",
-    }
+    kinds = {f.name: f.type for f in dataclasses.fields(BenchmarkSpec)}
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected a JSON object")
-    unknown = sorted(set(obj) - allowed)
+    unknown = sorted(set(obj) - set(kinds))
     if unknown:
         raise ConfigError(f"{path}: unknown key {unknown[0]!r}")
-    kinds = {f.name: f.type for f in dataclasses.fields(BenchmarkSpec)}
     for key, value in obj.items():
         if key != "unseen_counts":
             _checked(key, value, kinds[key], str(path))

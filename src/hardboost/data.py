@@ -58,9 +58,10 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 class FeatureTable:
     """Rows of (visual feature vector, class label), features float32.
 
-    Two derived views are computed on first use and cached on the table:
-    the rows of each label (:meth:`rows_for`) and the per-class statistics
-    (:meth:`class_stats`).  The table is immutable, so neither goes stale.
+    Three derived views are computed on first use and cached on the table:
+    the rows of each label (:meth:`rows_for`), the per-class means and
+    counts (:meth:`class_stats`) and the per-class squared-deviation sums
+    (:meth:`class_scatters`).  The table is immutable, so none goes stale.
     """
 
     features: np.ndarray
@@ -115,10 +116,21 @@ class FeatureTable:
         mean of a feature table is computed here, so a merge of cached means
         and extra rows gives the bits a merged table would.
         """
+        rows = self._class_rows(label, extra)
+        return rows.mean(axis=0), len(rows)
+
+    def class_scatter(self, label: str, extra: np.ndarray | None = None) -> np.ndarray:
+        """Float64 per-feature sum of squared deviations of the rows of
+        :meth:`class_mean` from that mean, the rows summed in its order."""
+        rows = self._class_rows(label, extra)
+        rows -= rows.mean(axis=0)
+        return np.square(rows, out=rows).sum(axis=0)
+
+    def _class_rows(self, label: str, extra: np.ndarray | None) -> np.ndarray:
         rows = self.features[self.rows_for(label)]
         if extra is not None:
             rows = np.concatenate([rows, extra])
-        return rows.astype(np.float64).mean(axis=0), len(rows)
+        return rows.astype(np.float64)
 
     def class_stats(self) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
         """Sorted class ids, their float64 mean rows and their row counts.
@@ -137,6 +149,22 @@ class FeatureTable:
             stats = (labels, _freeze(means), _freeze(counts))
             object.__setattr__(self, "_class_stats", stats)
         return stats
+
+    def class_scatters(self) -> np.ndarray:
+        """Row ``k`` is :meth:`class_scatter` of class ``k`` of :meth:`class_stats`.
+
+        Only a generator fit reads these, so they are cached apart from the
+        means: the first call computes them and caches them, read-only.
+        """
+        scatters = self.__dict__.get("_class_scatters")
+        if scatters is None:
+            labels = self.class_stats()[0]
+            scatters = np.empty((len(labels), self.dim))
+            for k, cls in enumerate(labels):
+                scatters[k] = self.class_scatter(cls)
+            scatters = _freeze(scatters)
+            object.__setattr__(self, "_class_scatters", scatters)
+        return scatters
 
 
 @dataclass(frozen=True)
@@ -338,10 +366,6 @@ def _feature_binary_chunks(table: FeatureTable) -> tuple:
     header = _MAGIC + struct.pack("<IQI", _BINARY_VERSION, table.n, table.dim)
     body = np.ascontiguousarray(table.features, dtype="<f4")
     return header, body, struct.pack("<I", len(label_block)), label_block
-
-
-def _feature_binary_bytes(table: FeatureTable) -> bytes:
-    return b"".join(_feature_binary_chunks(table))
 
 
 def _load_feature_binary(path) -> FeatureTable:

@@ -134,47 +134,6 @@ def evaluate_if_labeled(bundle: DatasetBundle, preds) -> EvalReport | None:
     return evaluate(preds, truths, bundle.split)
 
 
-def confusion_matrix(
-    preds,
-    truths,
-    split: ClassSplit,
-    per_class_cap: int | None = None,
-    seed: int = 0,
-) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Unseen-class confusion counts, optionally balanced per true class.
-
-    With a cap, every class contributes exactly ``per_class_cap`` rows:
-    sampled without replacement when it has at least that many, with
-    replacement otherwise.  Deterministic given ``seed``.
-    """
-    preds = list(preds)
-    truths = list(truths)
-    classes = tuple(sorted(split.unseen))
-    for i, (p, t) in enumerate(zip(preds, truths)):
-        if t not in split.unseen or p not in split.unseen:
-            raise ValueError(f"row {i}: labels must be unseen classes")
-    if per_class_cap is None:
-        return _tally(preds, truths, classes), classes
-
-    if per_class_cap < 1:
-        raise ValueError("per_class_cap must be >= 1")
-    rng = np.random.default_rng(seed)
-    kept_preds: list[str] = []
-    kept_truths: list[str] = []
-    for cls in classes:
-        rows = [i for i, t in enumerate(truths) if t == cls]
-        if not rows:
-            continue
-        if len(rows) >= per_class_cap:
-            chosen = rng.choice(len(rows), size=per_class_cap, replace=False)
-        else:
-            chosen = rng.choice(len(rows), size=per_class_cap, replace=True)
-        for j in chosen:
-            kept_preds.append(preds[rows[j]])
-            kept_truths.append(cls)
-    return _tally(kept_preds, kept_truths, classes), classes
-
-
 def _top_k_indices(values: np.ndarray, k: int, exclude: int) -> set[int]:
     # descending by value, ascending by index; the excluded index is the class itself
     order = sorted(

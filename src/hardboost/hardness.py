@@ -35,6 +35,8 @@ from .rng import substream
 
 #: seen-side distances averaged per unseen class
 NEAR_SEEN_COUNT = 3
+#: k-means restarts after an empty cluster in :func:`estimate_class_priors`
+_MAX_RESTARTS = 10
 
 
 def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -160,21 +162,20 @@ def estimate_class_priors(
     unlabeled: FeatureTable,
     split: ClassSplit,
     seed: int,
-    pseudo_labels=None,
-    max_restarts: int = 10,
+    pseudo_labels,
 ) -> dict[str, float]:
     """Estimate unseen-class priors from cluster proportions.
 
     Runs Lloyd's k-means with one center per unseen class on the unlabeled
     features; priors are smoothed cluster-size proportions (one phantom
-    sample added per class before normalizing).  When ``pseudo_labels`` is
-    given (one per row), each cluster is attributed to its majority pseudo
-    label, tying cluster mass to a concrete class; otherwise proportions are
-    assigned in descending order to the lexicographically sorted classes.
+    sample added per class before normalizing).  Each cluster is attributed
+    to the majority unseen label among its rows' ``pseudo_labels`` (one per
+    row), tying cluster mass to a concrete class.
     Each row goes to its nearest center through
     :func:`~hardboost.models.nearest_rows`, which returns the exact
     squared-distance argmin with ties broken on the lower center index.
-    Deterministic given ``seed``; empty clusters trigger a restart.
+    Deterministic given ``seed``; empty clusters trigger a restart, at most
+    ``_MAX_RESTARTS`` of them.
     """
     if unlabeled.n == 0:
         raise ValueError("cannot estimate priors from an empty table")
@@ -182,7 +183,7 @@ def estimate_class_priors(
     c = len(classes)
     if c == 1:
         return {classes[0]: 1.0}
-    if pseudo_labels is not None and len(pseudo_labels) != unlabeled.n:
+    if len(pseudo_labels) != unlabeled.n:
         raise ValueError("one pseudo label per unlabeled row is required")
     x = unlabeled.features.astype(np.float64)
     m = x.shape[0]
@@ -191,7 +192,7 @@ def estimate_class_priors(
 
     rng = substream(seed, "prior-estimation")
     assign = None
-    for _ in range(max_restarts):
+    for _ in range(_MAX_RESTARTS):
         centers = x[rng.choice(m, size=c, replace=False)]
         assign = None
         for _ in range(100):
@@ -207,22 +208,19 @@ def estimate_class_priors(
             break
     if assign is None:
         raise ValueError(
-            f"clustering degenerated to an empty cluster {max_restarts} times"
+            f"clustering degenerated to an empty cluster {_MAX_RESTARTS} times"
         )
 
     sizes = np.bincount(assign, minlength=c)
-    if pseudo_labels is not None:
-        mass = {cls: 0 for cls in classes}
-        labels = list(pseudo_labels)
-        for j in range(c):
-            members = [labels[i] for i in np.flatnonzero(assign == j)]
-            votes = Counter(l for l in members if l in split.unseen)
-            if votes:
-                winner = sorted(votes, key=lambda cls: (-votes[cls], cls))[0]
-                mass[winner] += int(sizes[j])
-        smoothed = np.asarray([mass[cls] + 1 for cls in classes], dtype=np.float64)
-    else:
-        smoothed = np.sort(sizes)[::-1].astype(np.float64) + 1.0
+    mass = {cls: 0 for cls in classes}
+    labels = list(pseudo_labels)
+    for j in range(c):
+        members = [labels[i] for i in np.flatnonzero(assign == j)]
+        votes = Counter(l for l in members if l in split.unseen)
+        if votes:
+            winner = sorted(votes, key=lambda cls: (-votes[cls], cls))[0]
+            mass[winner] += int(sizes[j])
+    smoothed = np.asarray([mass[cls] + 1 for cls in classes], dtype=np.float64)
     priors = smoothed / smoothed.sum()
     return {cls: float(priors[i]) for i, cls in enumerate(classes)}
 

@@ -77,21 +77,18 @@ def select_cfbs(
 
 
 def random_selection_baseline(
-    pseudo_labels, total: int, seed: int, split=None
+    pseudo_labels, total: int, seed: int, split
 ) -> list[tuple[int, str]]:
-    """Draw ``total`` rows uniformly with replacement from the whole pool,
-    ignoring hardness.  Size-matched ablation arm for the selection step.
+    """Draw ``total`` rows uniformly with replacement from the rows
+    pseudo-labeled as unseen, ignoring hardness.  Size-matched ablation arm
+    for the selection step.
 
-    With ``split`` given the pool is the rows pseudo-labeled as unseen; an
-    empty pool selects nothing and logs a warning, as an empty hard-class
+    An empty pool selects nothing and logs a warning, as an empty hard-class
     pool does in :func:`select_cfbs`."""
     if total < 0:
         raise ValueError("total must be >= 0")
     pseudo_labels = list(pseudo_labels)
-    if split is not None:
-        pool = [i for i, l in enumerate(pseudo_labels) if l in split.unseen]
-    else:
-        pool = list(range(len(pseudo_labels)))
+    pool = [i for i, l in enumerate(pseudo_labels) if l in split.unseen]
     if total == 0:
         return []
     if not pool:

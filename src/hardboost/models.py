@@ -26,15 +26,17 @@ and therefore exactly reproducible.
   the threads only decide who computes which block, so the bytes do not
   depend on the fit's thread count (OpenBLAS's own threads can change them).
 
-Every fit reads a training table's class means through the per-class
-statistics the table caches (:meth:`~hardboost.data.FeatureTable.class_stats`),
-so a table's means are computed once however often it is fitted.
+Every fit reads a training table's class means, and a generator fit its
+squared-deviation sums, through the per-class statistics the table caches
+(:meth:`~hardboost.data.FeatureTable.class_stats` and
+:meth:`~hardboost.data.FeatureTable.class_scatters`), so they are computed
+once however often the table is fitted.
 
 :func:`fit_predict_unseen` is the transductive refit that ``harst`` and the
 contrastive study share: fit either base on the seen training rows plus
-selected (test row, label) pairs, then label every unseen test row.  The
-embedding base merges the selected rows into the seen rows' cached
-statistics instead of building the merged table.
+selected (test row, label) pairs, then label every unseen test row.  Both
+bases merge the selected rows into the seen rows' cached statistics
+(:func:`_class_means`) instead of building the merged table.
 """
 
 from __future__ import annotations
@@ -71,18 +73,22 @@ class SingularFitError(ValueError):
 
 def _class_means(
     table: FeatureTable, semantics: SemanticTable, extra: np.ndarray | None = None,
-    selected=(),
-) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
-    """Sorted class ids, float64 class means, row counts and semantic rows of
-    ``table`` with the ``selected`` (row of ``extra``, label) pairs appended.
+    selected=(), scatter: bool = False,
+) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """Sorted class ids, float64 class means, row counts, semantic rows and,
+    with ``scatter``, float64 squared-deviation sums of ``table`` with the
+    ``selected`` (row of ``extra``, label) pairs appended.
 
     The result is bit for bit that of one table holding ``table``'s rows
     followed by the selected rows in selection order, but no such table is
     built.  A class no pair names keeps the statistics that ``table`` caches
-    (:meth:`~hardboost.data.FeatureTable.class_stats`); a class some pair
-    names averages its rows of ``table`` followed by its selected rows.
+    (:meth:`~hardboost.data.FeatureTable.class_stats` and
+    :meth:`~hardboost.data.FeatureTable.class_scatters`); a class some pair
+    names is computed again over its rows of ``table`` followed by its
+    selected rows.
     """
     seen, seen_means, seen_counts = table.class_stats()
+    seen_scatters = table.class_scatters() if scatter else None
     picks: dict[str, list[int]] = {}
     for row, label in selected:
         picks.setdefault(label, []).append(row)
@@ -93,17 +99,22 @@ def _class_means(
         if cls not in semantics:
             raise ValueError(f"training label {cls!r} has no semantic vector")
     if not picks:
-        return labels, seen_means, seen_counts, semantics.matrix(labels)
+        return labels, seen_means, seen_counts, semantics.matrix(labels), seen_scatters
     at = {cls: k for k, cls in enumerate(seen)}
     means = np.empty((len(labels), table.dim))
     counts = np.empty(len(labels), dtype=np.intp)
+    scatters = np.empty_like(means) if scatter else None
     for k, cls in enumerate(labels):
         rows = picks.get(cls)
         if rows is None:
             means[k], counts[k] = seen_means[at[cls]], seen_counts[at[cls]]
         else:
             means[k], counts[k] = table.class_mean(cls, extra[rows])
-    return labels, means, counts, semantics.matrix(labels)
+        if scatter:
+            scatters[k] = (
+                seen_scatters[at[cls]] if rows is None else table.class_scatter(cls, extra[rows])
+            )
+    return labels, means, counts, semantics.matrix(labels), scatters
 
 
 def _ridge_solve(
@@ -146,7 +157,7 @@ def fit_embedding(
     train: FeatureTable, semantics: SemanticTable, ridge: float = 0.0
 ) -> EmbeddingModel:
     """Closed-form ridge fit of class-mean features on semantic vectors."""
-    _, means, _, sem = _class_means(train, semantics)
+    _, means, _, sem, _ = _class_means(train, semantics)
     return fit_embedding_means(sem, means, np.ones(len(means)), ridge)
 
 
@@ -275,15 +286,21 @@ def fit_generator(
     semantics: SemanticTable,
     ridge: float = 0.0,
     synth=None,
+    extra: np.ndarray | None = None,
+    selected=(),
 ) -> GenerativeModel:
     """Ridge-regress group means on semantic vectors; pool residual variance.
 
     Real classes form one group each (their class mean against the class
-    semantic vector).  Synthesized rows, which carry continuous interpolated
-    semantic vectors, group by exact semantic vector -- typically singleton
-    groups that shape the map without contributing scatter.  The shared
-    covariance is the within-group variance pooled over all rows with a
-    degrees-of-freedom correction, floored at ``COVARIANCE_FLOOR``.
+    semantic vector).  Their rows are ``train``'s plus the ``selected`` (row
+    of ``extra``, label) pairs, merged into ``train``'s cached statistics as
+    :func:`_class_means` merges them, so the fit is bit for bit the fit on
+    one table holding both.  Synthesized rows, which carry continuous
+    interpolated semantic vectors, group by exact semantic vector --
+    typically singleton groups that shape the map without contributing
+    scatter.  The shared covariance is the within-group variance pooled over
+    all rows with a degrees-of-freedom correction, floored at
+    ``COVARIANCE_FLOOR``.
 
     Every synthesized semantic vector mixes the vectors of its two source
     classes, so the design's rank is at most the number of distinct real
@@ -292,16 +309,17 @@ def fit_generator(
     """
     if ridge < 0:
         raise ValueError("ridge must be >= 0")
-    labels, means, _, sem = _class_means(train, semantics)
+    labels, means, counts, sem, scatters = _class_means(
+        train, semantics, extra, selected, scatter=True
+    )
     group_sems = [sem]
     group_means = [means]
     sq_dev = np.zeros(train.dim, dtype=np.float64)
-    n_rows = train.n
+    for scatter in scatters:  # one class at a time, in label order: a numpy sum may pair them
+        sq_dev += scatter
+    n_rows = int(counts.sum())
     n_groups = sem.shape[0]
     classes = set(labels)
-    for cls_idx, cls in enumerate(labels):  # one class in float64 at a time
-        rows = train.features[train.rows_for(cls)].astype(np.float64)
-        sq_dev += ((rows - means[cls_idx]) ** 2).sum(axis=0)
 
     if synth is not None and len(synth) > 0:
         if synth.semantics.shape[1] != semantics.dim:
@@ -309,17 +327,24 @@ def fit_generator(
                 f"synthesized semantic dimension {synth.semantics.shape[1]} "
                 f"!= table dimension {semantics.dim}"
             )
-        sem_rows = synth.semantics.astype(np.float64)
-        feat_rows = synth.features.astype(np.float64)
+        sem_rows = np.asarray(synth.semantics, dtype=np.float64)
+        feat_rows = np.asarray(synth.features, dtype=np.float64)
         groups: dict[bytes, list[int]] = {}
         for i in range(len(synth)):
             groups.setdefault(sem_rows[i].tobytes(), []).append(i)
-        for key in groups:
-            members = feat_rows[groups[key]]
-            mean = members.mean(axis=0)
-            group_sems.append(sem_rows[groups[key][0]][None, :])
-            group_means.append(mean[None, :])
-            sq_dev += ((members - mean) ** 2).sum(axis=0)
+        # A singleton group's mean is its row and it adds no scatter, so only
+        # groups sharing a semantic vector are reduced.  One array holds every
+        # group mean: an array per group fragments the heap that later large
+        # arrays are placed in, and peak RSS then depends on where they land.
+        firsts = [rows[0] for rows in groups.values()]
+        synth_means = feat_rows[firsts]
+        for k, rows in enumerate(groups.values()):
+            if len(rows) > 1:
+                members = feat_rows[rows]
+                synth_means[k] = mean = members.mean(axis=0)
+                sq_dev += ((members - mean) ** 2).sum(axis=0)
+        group_sems.append(sem_rows[firsts])
+        group_means.append(synth_means)
         n_rows += len(synth)
         n_groups += len(groups)
         classes.update(synth.source_classes.ravel().tolist())
@@ -666,34 +691,31 @@ def fit_predict_unseen(
     Every training row counts once, so a pair selected twice counts twice.
     The ``"embedding"`` base fits class means weighted by their row counts,
     so selection multiplicity weights the fit and pseudo-label noise costs
-    what it should, and picks the nearest candidate prototype.  It builds no
-    merged table: classes without selected rows keep the seen table's cached
-    means and counts, and only the classes the selection names are averaged
-    again, bit for bit as the merged table would average them.  The
-    ``"generative"`` base fits the generator on the merged rows themselves,
-    draws ``n_per_class`` rows per unseen class from ``(seed, *stream)``,
-    adds the training rows when the candidates include seen classes, and
+    what it should, and picks the nearest candidate prototype.  The
+    ``"generative"`` base fits the generator (:func:`fit_generator`), draws
+    ``n_per_class`` rows per unseen class from ``(seed, *stream)``, adds the
+    seen and selected rows when the candidates include seen classes, and
     trains a softmax classifier over the candidates with ``classifier``.
+
+    Neither base builds a merged table: classes without selected rows keep
+    the seen table's cached statistics, and only the classes the selection
+    names are computed again, bit for bit as the merged table would give them.
     """
     train, test = bundle.train_seen, bundle.test_unseen.features
     if base == "embedding":
-        _, means, counts, sem = _class_means(train, bundle.semantics, test, selected)
+        _, means, counts, sem, _ = _class_means(train, bundle.semantics, test, selected)
         model = fit_embedding_means(sem, means, counts, ridge)
         return classify_embedding_batch(model, test, candidates, bundle.semantics)
     if base != "generative":
         raise ValueError(f"unknown base model {base!r}")
-    if selected:
-        rows, row_labels = zip(*selected)
-        train = FeatureTable(
-            features=np.concatenate([train.features, test[list(rows)]]),
-            labels=train.labels + row_labels,
-        )
-    gen = fit_generator(train, bundle.semantics, ridge)
+    gen = fit_generator(train, bundle.semantics, ridge, extra=test, selected=selected)
     counts = dict.fromkeys(sorted(bundle.split.unseen), n_per_class)
     feats, labels = sample_per_class(gen, bundle.semantics, counts, seed, *stream)
     if not bundle.split.unseen.issuperset(candidates):
         # the classifier trains in float32, so the seen rows join as they are
-        feats = np.concatenate([feats, train.features], dtype=np.float32)
+        rows = [row for row, _ in selected]
+        feats = np.concatenate([feats, train.features, test[rows]], dtype=np.float32)
         labels.extend(train.labels)
+        labels.extend(label for _, label in selected)
     clf = fit_classifier(feats, labels, candidates, classifier)
     return predict_classifier_batch(clf, test)

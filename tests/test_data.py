@@ -22,7 +22,7 @@ from hardboost.data import (
     write_bundle,
     write_feature_table,
 )
-from hardboost.data import _feature_binary_bytes
+from hardboost.data import _feature_binary_chunks
 
 
 def make_split():
@@ -72,6 +72,22 @@ class TestFeatureTable:
         assert all(a is b for a, b in zip(again, (classes, means, counts)))
         assert not means.flags.writeable and not counts.flags.writeable
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        labels=st.lists(st.sampled_from(["a", "b", "c", "é"]), max_size=30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_class_scatters_equal_label_scans_and_are_cached(self, labels, seed):
+        feats = np.random.default_rng(seed).normal(size=(len(labels), 3)) * 1e3
+        table = FeatureTable(features=feats, labels=labels)
+        classes, means, _ = table.class_stats()
+        scatters = table.class_scatters()
+        assert scatters.shape == (len(classes), 3) and scatters.dtype == np.float64
+        for k, cls in enumerate(classes):
+            rows = table.features[table.rows_for(cls)].astype(np.float64)
+            assert scatters[k].tobytes() == ((rows - means[k]) ** 2).sum(axis=0).tobytes()
+        assert table.class_scatters() is scatters and not scatters.flags.writeable
+
     def test_csv_parse(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("a,1.0,2.0\nb,3.0,4.0\n")
@@ -107,7 +123,7 @@ class TestFeatureTable:
 
     def test_binary_version_mismatch(self, tmp_path):
         table = FeatureTable(features=np.ones((1, 1), dtype=np.float32), labels=("a",))
-        raw = bytearray(_feature_binary_bytes(table))
+        raw = bytearray(b"".join(_feature_binary_chunks(table)))
         raw[4] = 9  # bump the version field
         path = tmp_path / "t.zsf"
         path.write_bytes(bytes(raw))
@@ -129,7 +145,7 @@ class TestFeatureTable:
         table = FeatureTable(
             features=np.ones((2, 2), dtype=np.float32), labels=("a", "b")
         )
-        raw = _feature_binary_bytes(table)
+        raw = b"".join(_feature_binary_chunks(table))
         path = tmp_path / "t.zsf"
         path.write_bytes(raw[:-3])
         with pytest.raises(DataError):
@@ -176,7 +192,7 @@ class TestFeatureTable:
         assert loaded.labels == table.labels
         np.testing.assert_array_equal(loaded.features, table.features)
         # write(load(f)) is byte-identical to f
-        assert _feature_binary_bytes(loaded) == path.read_bytes()
+        assert b"".join(_feature_binary_chunks(loaded)) == path.read_bytes()
 
 
 class TestSemanticTable:
@@ -301,7 +317,7 @@ def test_writing_a_table_copies_none_of_its_features(tmp_path, rng):
     finally:
         tracemalloc.stop()
     assert peak < table.features.nbytes / 4  # the joined file used to be two copies
-    assert path.read_bytes() == _feature_binary_bytes(table)
+    assert path.read_bytes() == b"".join(_feature_binary_chunks(table))
 
 
 def test_tables_are_immutable(standard_benchmark):

@@ -10,7 +10,6 @@ from hardboost.evaluation import (
     HardEasyOracle,
     amr,
     apr,
-    confusion_matrix,
     contrastive_analysis,
     evaluate,
     evaluate_if_labeled,
@@ -65,6 +64,22 @@ class TestEvaluate:
             report = evaluate(["u1", "u2"], ["u1", "u2"], SPLIT)
         assert report.acc_u == pytest.approx(1.0)
 
+    def test_perfect_predictions_give_a_diagonal_confusion(self):
+        preds = truths = ["u1", "u2", "u3", "u2"]
+        report = evaluate(preds, truths, SPLIT)
+        assert report.classes == ("u1", "u2", "u3")
+        np.testing.assert_array_equal(report.confusion, np.diag([1, 2, 1]))
+
+    def test_confusion_matches_tally_oracle(self, rng):
+        preds = [f"u{rng.integers(1, 4)}" for _ in range(200)]
+        truths = [f"u{rng.integers(1, 4)}" for _ in range(200)]
+        report = evaluate(preds, truths, SPLIT)
+        index = {c: i for i, c in enumerate(report.classes)}
+        manual = np.zeros((3, 3), dtype=int)
+        for p, t in zip(preds, truths):
+            manual[index[t], index[p]] += 1
+        np.testing.assert_array_equal(report.confusion, manual)
+
     def test_confusion_rows_sum_to_counts(self):
         preds = ["u1", "u2", "u2", "u3", "u1", "u1"]
         truths = ["u1", "u1", "u2", "u2", "u3", "u3"]
@@ -100,39 +115,6 @@ def test_evaluate_if_labeled(standard_benchmark):
         features=bundle.test_unseen.features, labels=(UNLABELED,) * bundle.test_unseen.n
     )
     assert evaluate_if_labeled(dataclasses.replace(bundle, test_unseen=unlabeled), preds) is None
-
-
-class TestConfusionMatrix:
-    def test_perfect_predictions_are_diagonal(self):
-        preds = truths = ["u1", "u2", "u3", "u2"]
-        matrix, classes = confusion_matrix(preds, truths, SPLIT)
-        assert classes == ("u1", "u2", "u3")
-        np.testing.assert_array_equal(matrix, np.diag([1, 2, 1]))
-
-    def test_cap_bounds_every_row(self, rng):
-        truths = ["u1"] * 250 + ["u2"] * 40
-        preds = [f"u{rng.integers(1, 4)}" for _ in truths]
-        matrix, _ = confusion_matrix(preds, truths, SPLIT, per_class_cap=100, seed=4)
-        assert matrix[0].sum() == 100  # subsampled without replacement
-        assert matrix[1].sum() == 100  # upsampled with replacement
-        assert matrix[2].sum() == 0
-
-    def test_cap_deterministic(self, rng):
-        truths = ["u1"] * 30 + ["u2"] * 30
-        preds = [f"u{rng.integers(1, 3)}" for _ in truths]
-        first, _ = confusion_matrix(preds, truths, SPLIT, per_class_cap=10, seed=9)
-        second, _ = confusion_matrix(preds, truths, SPLIT, per_class_cap=10, seed=9)
-        np.testing.assert_array_equal(first, second)
-
-    def test_matches_tally_oracle(self, rng):
-        preds = [f"u{rng.integers(1, 4)}" for _ in range(200)]
-        truths = [f"u{rng.integers(1, 4)}" for _ in range(200)]
-        matrix, classes = confusion_matrix(preds, truths, SPLIT)
-        index = {c: i for i, c in enumerate(classes)}
-        manual = np.zeros((3, 3), dtype=int)
-        for p, t in zip(preds, truths):
-            manual[index[t], index[p]] += 1
-        np.testing.assert_array_equal(matrix, manual)
 
 
 # three classes: worked by hand from the definitions

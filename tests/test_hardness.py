@@ -183,7 +183,7 @@ class TestPriorEstimation:
     def test_single_class_is_forced(self):
         table = FeatureTable(features=np.ones((4, 2), dtype=np.float32), labels=("?",) * 4)
         split = ClassSplit(seen=frozenset({"s"}), unseen=frozenset({"c"}))
-        assert estimate_class_priors(table, split, seed=0) == {"c": 1.0}
+        assert estimate_class_priors(table, split, seed=0, pseudo_labels=["c"] * 4) == {"c": 1.0}
 
     def test_planted_mixture_weights(self, rng):
         a = rng.normal(size=(30, 3)) * 0.1 + np.array([5.0, 0.0, 0.0])
@@ -192,8 +192,9 @@ class TestPriorEstimation:
             features=np.concatenate([a, b]).astype(np.float32), labels=("?",) * 100
         )
         split = ClassSplit(seen=frozenset({"s"}), unseen=frozenset({"c1", "c2"}))
-        priors = estimate_class_priors(table, split, seed=3)
-        assert sorted(priors.values()) == pytest.approx([0.3, 0.7], abs=0.05)
+        labels = ["c1"] * 30 + ["c2"] * 70
+        priors = estimate_class_priors(table, split, seed=3, pseudo_labels=labels)
+        assert [priors["c1"], priors["c2"]] == pytest.approx([0.3, 0.7], abs=0.05)
         assert sum(priors.values()) == pytest.approx(1.0, abs=1e-9)
 
     def test_pseudo_label_attribution(self, rng):
@@ -212,8 +213,9 @@ class TestPriorEstimation:
         feats = rng.normal(size=(40, 3)).astype(np.float32)
         table = FeatureTable(features=feats, labels=("?",) * 40)
         split = ClassSplit(seen=frozenset({"s"}), unseen=frozenset({"c1", "c2", "c3"}))
-        first = estimate_class_priors(table, split, seed=11)
-        second = estimate_class_priors(table, split, seed=11)
+        labels = ["c1", "c2", "c3"] * 13 + ["c1"]
+        first = estimate_class_priors(table, split, seed=11, pseudo_labels=labels)
+        second = estimate_class_priors(table, split, seed=11, pseudo_labels=labels)
         assert first == second
 
     def test_memory_is_not_rows_by_clusters_by_dim(self, rng):
@@ -226,7 +228,9 @@ class TestPriorEstimation:
         )
         tracemalloc.start()
         try:
-            priors = estimate_class_priors(table, split, seed=0)
+            priors = estimate_class_priors(
+                table, split, seed=0, pseudo_labels=[f"c{j % c:02d}" for j in range(n)]
+            )
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -237,7 +241,7 @@ class TestPriorEstimation:
         table = FeatureTable(features=np.ones((1, 2), dtype=np.float32), labels=("?",))
         split = ClassSplit(seen=frozenset({"s"}), unseen=frozenset({"c1", "c2"}))
         with pytest.raises(ValueError):
-            estimate_class_priors(table, split, seed=0)
+            estimate_class_priors(table, split, seed=0, pseudo_labels=["c1"])
 
 
 class TestHardnessReport:

@@ -102,18 +102,19 @@ class TestSelectCfbs:
 
 
 class TestRandomSelection:
+    SPLIT = ClassSplit(seen=frozenset({"s1"}), unseen=frozenset({"c1", "c2", "c3"}))
+
     def test_zero_total(self):
-        assert random_selection_baseline(["c1"], 0, seed=0) == []
+        assert random_selection_baseline(["c1"], 0, seed=0, split=self.SPLIT) == []
 
     def test_empty_pool_warns_and_selects_nothing(self):
         with pytest.warns(UserWarning, match="empty"):
-            assert random_selection_baseline([], 3, seed=0) == []
-        split = ClassSplit(seen=frozenset({"s1"}), unseen=frozenset({"u1"}))
+            assert random_selection_baseline([], 3, seed=0, split=self.SPLIT) == []
         with pytest.warns(UserWarning, match="empty"):
-            assert random_selection_baseline(["s1", "s1"], 3, seed=0, split=split) == []
+            assert random_selection_baseline(["s1", "s1"], 3, seed=0, split=self.SPLIT) == []
 
     def test_size_matches_request(self):
-        selected = random_selection_baseline(self.pseudo(), 12, seed=2)
+        selected = random_selection_baseline(self.pseudo(), 12, seed=2, split=self.SPLIT)
         assert len(selected) == 12
         for row, label in selected:
             assert self.pseudo()[row] == label
@@ -123,7 +124,7 @@ class TestRandomSelection:
 
     def test_draws_ignore_hardness(self):
         # with replacement over the whole pool: all classes can appear
-        selected = random_selection_baseline(self.pseudo(), 200, seed=3)
+        selected = random_selection_baseline(self.pseudo(), 200, seed=3, split=self.SPLIT)
         assert {label for _, label in selected} == {"c1", "c2", "c3"}
 
 

@@ -294,6 +294,42 @@ class TestFitGenerator:
         with_synth = fit_generator(bundle.train_seen, bundle.semantics, ridge=0.1, synth=synth)
         assert not np.array_equal(without.coeff, with_synth.coeff)
 
+    def test_synth_groups_fit_as_one_reduction_per_group(self, rng):
+        from hardboost.hars import SynthSet
+
+        # 20 virtual rows on 9 semantic vectors: rows sharing a vector pool
+        # into one group, the others stay singletons
+        train = table(rng.normal(size=(40, 6)), [f"s{i % 4}" for i in range(40)])
+        sem = SemanticTable(vectors={f"s{i}": rng.normal(size=3) for i in range(4)})
+        synth = SynthSet(
+            features=rng.normal(size=(20, 6)),
+            semantics=rng.normal(size=(9, 3))[rng.integers(0, 9, size=20)],
+            gamma=np.zeros(20),
+            source_rows=np.zeros((20, 2), dtype=np.intp),
+            source_classes=np.array([["s0", "s1"]] * 20),
+        )
+        groups = {}
+        for i, vec in enumerate(synth.semantics):
+            groups.setdefault(vec.tobytes(), []).append(i)
+        _, means, counts, sems, scatters = _class_means(train, sem, scatter=True)
+        sq_dev = np.zeros(6)
+        for scatter in scatters:
+            sq_dev += scatter
+        design, targets = [sems], [means]
+        for rows in groups.values():
+            members = synth.features[rows]
+            mean = members.mean(axis=0)
+            design.append(synth.semantics[rows[:1]])
+            targets.append(mean[None, :])
+            sq_dev += ((members - mean) ** 2).sum(axis=0)
+        dof = counts.sum() + len(synth) - len(design[0]) - len(groups)
+
+        model = fit_generator(train, sem, 0.1, synth)
+        coeff = _ridge_solve(np.concatenate(design), np.concatenate(targets), 0.1)
+        assert model.coeff.tobytes() == coeff.tobytes()
+        covariance = np.maximum(sq_dev / dof, COVARIANCE_FLOOR)
+        assert model.covariance.tobytes() == covariance.tobytes()
+
     def test_a_cached_refit_holds_no_float64_copy_of_the_table(self, rng):
         # 40 classes of 75 rows, 128-d: one class in float64 is 75 KiB
         labels = [f"s{i % 40:02d}" for i in range(3000)]
@@ -351,8 +387,8 @@ class TestFitPredictUnseen:
         preds = fit_predict_unseen(bundle, *args)
         assert fit_predict_unseen(shuffled, *args) == [preds[i] for i in perm]
 
-    @settings(max_examples=60, deadline=None)
-    @given(
+    # repeated rows, rows given a seen label and the empty selection
+    merges = dict(
         counts=st.lists(st.integers(1, 7), min_size=1, max_size=5),
         unseen=st.integers(1, 4),
         test_rows=st.integers(1, 12),
@@ -360,10 +396,10 @@ class TestFitPredictUnseen:
         all_classes=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_merged_statistics_equal_those_of_the_merged_table(
-        self, counts, unseen, test_rows, picks, all_classes, seed
-    ):
-        """Repeated rows, rows given a seen label and the empty selection."""
+
+    @staticmethod
+    def merge(counts, unseen, test_rows, picks, all_classes, seed):
+        """A seen table, test rows, a selection, and the table they merge into."""
         rng = np.random.default_rng(seed)
         seen = [f"s{i}" for i in range(len(counts))]
         space = seen + [f"u{i}" for i in range(unseen)] if all_classes else \
@@ -379,21 +415,38 @@ class TestFitPredictUnseen:
         train = table(rows(len(labels)), rng.permutation(labels))
         test = rows(test_rows)
         selected = [(row % test_rows, space[k % len(space)]) for row, k in picks]
-        train.class_stats()  # the cache is in place before the merge
-        before = [a.copy() for a in train.class_stats()[1:]]
-
-        got = _class_means(train, sem, test, selected)
         merged = FeatureTable(
             features=np.concatenate([train.features, test[[row for row, _ in selected]]]),
             labels=train.labels + tuple(label for _, label in selected),
         )
-        want = _class_means(merged, sem)
+        return sem, train, test, selected, merged
+
+    @settings(max_examples=60, deadline=None)
+    @given(**merges)
+    def test_merged_statistics_equal_those_of_the_merged_table(self, **draw):
+        sem, train, test, selected, merged = self.merge(**draw)
+        cached = [*train.class_stats()[1:], train.class_scatters()]  # in place before the merge
+        before = [a.copy() for a in cached]
+
+        got = _class_means(train, sem, test, selected, scatter=True)
+        want = _class_means(merged, sem, scatter=True)
         assert got[0] == want[0]
         assert got[1].tobytes() == want[1].tobytes()
         np.testing.assert_array_equal(got[2], want[2])
         assert got[3].tobytes() == want[3].tobytes()
+        assert got[4].tobytes() == want[4].tobytes()
+        assert _class_means(train, sem, test, selected)[4] is None
         # the table's cached statistics are untouched
-        assert all(np.array_equal(a, b) for a, b in zip(train.class_stats()[1:], before))
+        assert all(np.array_equal(a, b) for a, b in zip(cached, before))
+
+    @settings(max_examples=40, deadline=None)
+    @given(**merges)
+    def test_a_merged_generator_fit_equals_the_fit_on_the_merged_table(self, **draw):
+        sem, train, test, selected, merged = self.merge(**draw)
+        got = fit_generator(train, sem, 0.1, extra=test, selected=selected)
+        want = fit_generator(merged, sem, 0.1)
+        assert got.coeff.tobytes() == want.coeff.tobytes()
+        assert got.covariance.tobytes() == want.covariance.tobytes()
 
     def test_a_selected_label_without_a_semantic_vector_raises(self, standard_benchmark):
         bundle, _, _ = standard_benchmark
@@ -401,7 +454,8 @@ class TestFitPredictUnseen:
         with pytest.raises(ValueError, match="training label 'nowhere' has no semantic vector"):
             fit_predict_unseen(bundle, [(0, "u00"), (1, "nowhere")], *args)
 
-    def test_a_refit_builds_no_merged_table(self, rng):
+    @pytest.mark.parametrize("base", ["embedding", "generative"])
+    def test_a_refit_builds_no_merged_table(self, rng, base):
         # 40 seen classes of 75 rows, 8 unseen classes of 5 test rows, 128-d
         seen = [f"s{i:02d}" for i in range(40)]
         unseen = [f"u{i}" for i in range(8)]
@@ -410,7 +464,8 @@ class TestFitPredictUnseen:
         test = table(rng.normal(size=(40, 128)), [unseen[i % 8] for i in range(40)])
         bundle = DatasetBundle(train_seen=train, test_unseen=test, semantics=sem,
                                split=ClassSplit(seen=frozenset(seen), unseen=frozenset(unseen)))
-        args = ("embedding", unseen, 0.1, 5, ClassifierConfig(), 0)
+        # candidates are the unseen classes: label space "unseen"
+        args = (base, unseen, 0.1, 5, ClassifierConfig(), 0)
         fit_predict_unseen(bundle, [], *args)  # caches the seen statistics
         selected = [(i, unseen[i % 8]) for i in range(40)] * 5
         tracemalloc.start()
