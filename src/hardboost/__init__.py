@@ -29,7 +29,6 @@ from .models import (
     EmbeddingModel,
     GenerativeModel,
     fit_classifier,
-    fit_embedding,
     fit_generator,
     sample_generator,
     sample_per_class,

@@ -54,6 +54,21 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+_FINITE_CHECK_ELEMENTS = 1 << 18  # values per block of rows that _first_nonfinite_row scans
+
+
+def _first_nonfinite_row(feats: np.ndarray) -> int | None:
+    """Index of the first row of 2-D ``feats`` (at least one column wide)
+    holding a NaN or an infinity, or None.  The rows are scanned in blocks,
+    so the check holds one block's bool mask, not one of the whole table."""
+    rows = max(1, _FINITE_CHECK_ELEMENTS // feats.shape[1])
+    for start in range(0, feats.shape[0], rows):
+        bad = np.flatnonzero(~np.isfinite(feats[start : start + rows]).all(axis=1))
+        if bad.size:
+            return start + int(bad[0])
+    return None
+
+
 @dataclass(frozen=True)
 class FeatureTable:
     """Rows of (visual feature vector, class label), features float32.
@@ -78,9 +93,9 @@ class FeatureTable:
             raise ValidationError(
                 f"{feats.shape[0]} feature rows but {len(labels)} labels"
             )
-        bad = np.flatnonzero(~np.isfinite(feats).all(axis=1))
-        if bad.size:
-            raise ValidationError(f"non-finite feature value in row {bad[0]}")
+        bad = _first_nonfinite_row(feats)
+        if bad is not None:
+            raise ValidationError(f"non-finite feature value in row {bad}")
         object.__setattr__(self, "features", _freeze(feats))
         object.__setattr__(self, "labels", labels)
 
@@ -399,9 +414,9 @@ def _load_feature_binary(path) -> FeatureTable:
             raise DataError(
                 f"{name}: {len(labels)} labels for {rows} rows"
             )
-    bad = np.flatnonzero(~np.isfinite(feats).all(axis=1))
-    if bad.size:
-        raise DataError(f"{name}: non-finite feature value in row {bad[0]}")
+    bad = _first_nonfinite_row(feats)
+    if bad is not None:
+        raise DataError(f"{name}: non-finite feature value in row {bad}")
     return FeatureTable(features=feats, labels=tuple(labels))
 
 

@@ -174,6 +174,9 @@ def estimate_class_priors(
     Each row goes to its nearest center through
     :func:`~hardboost.models.nearest_rows`, which returns the exact
     squared-distance argmin with ties broken on the lower center index.
+    The clustering runs on the float32 table: each float64 center is
+    averaged from its own rows, widened first, which gives the bits of a
+    float64 copy of the table without making one.
     Deterministic given ``seed``; empty clusters trigger a restart, at most
     ``_MAX_RESTARTS`` of them.
     """
@@ -185,7 +188,7 @@ def estimate_class_priors(
         return {classes[0]: 1.0}
     if len(pseudo_labels) != unlabeled.n:
         raise ValueError("one pseudo label per unlabeled row is required")
-    x = unlabeled.features.astype(np.float64)
+    x = unlabeled.features
     m = x.shape[0]
     if m < c:
         raise ValueError(f"{m} samples cannot form {c} clusters")
@@ -193,14 +196,14 @@ def estimate_class_priors(
     rng = substream(seed, "prior-estimation")
     assign = None
     for _ in range(_MAX_RESTARTS):
-        centers = x[rng.choice(m, size=c, replace=False)]
+        centers = x[rng.choice(m, size=c, replace=False)].astype(np.float64)
         assign = None
         for _ in range(100):
             new_assign = nearest_rows(x, centers)
             if np.unique(new_assign).size < c:
                 assign = None
                 break
-            centers = np.stack([x[new_assign == j].mean(axis=0) for j in range(c)])
+            centers = np.stack([x[new_assign == j].astype(float).mean(axis=0) for j in range(c)])
             if assign is not None and np.array_equal(new_assign, assign):
                 break
             assign = new_assign

@@ -5,8 +5,9 @@ each interface, chosen so every fit is closed-form or plain gradient descent
 and therefore exactly reproducible.
 
 * ``EmbeddingModel`` ridge-regresses class-mean visual features onto
-  semantic vectors, each class weighted by a row count (one per class in
-  :func:`fit_embedding`), and classifies by nearest mapped prototype.
+  semantic vectors, each class weighted by a row count
+  (:func:`fit_embedding_means`), and classifies by nearest mapped prototype
+  (:func:`nearest_rows`).
 * ``GenerativeModel`` maps a semantic vector to a class mean and samples
   around it with a shared diagonal covariance.
 * ``Classifier`` is multinomial logistic regression trained by full-batch
@@ -153,14 +154,6 @@ class EmbeddingModel:
         return self.weights @ np.asarray(e, dtype=np.float64) + self.bias
 
 
-def fit_embedding(
-    train: FeatureTable, semantics: SemanticTable, ridge: float = 0.0
-) -> EmbeddingModel:
-    """Closed-form ridge fit of class-mean features on semantic vectors."""
-    _, means, _, sem, _ = _class_means(train, semantics)
-    return fit_embedding_means(sem, means, np.ones(len(means)), ridge)
-
-
 def fit_embedding_means(
     sem: np.ndarray, means: np.ndarray, counts: np.ndarray, ridge: float = 0.0
 ) -> EmbeddingModel:
@@ -171,7 +164,7 @@ def fit_embedding_means(
     class whose rows average to ``means[k]``: centred on the count-weighted
     means, each class enters the normal equations ``counts[k]`` times, so
     its centred rows are scaled by ``sqrt(counts[k])`` instead of repeated.
-    :func:`fit_embedding` is the case of one count per class.
+    With one count per class it is the unweighted fit of the class means.
     """
     if ridge < 0:
         raise ValueError("ridge must be >= 0")
@@ -195,32 +188,27 @@ def fit_embedding_means(
     return EmbeddingModel(weights=weights, bias=bias, ridge=float(ridge))
 
 
-def _prototype_matrix(
-    model: EmbeddingModel, candidates, semantics: SemanticTable
-) -> tuple[list[str], np.ndarray]:
-    cand = sorted(candidates)
-    if not cand:
-        raise ValueError("candidate set is empty")
-    protos = semantics.matrix(cand) @ model.weights.T + model.bias
-    return cand, protos
-
-
+_ROW_ELEMENTS = 1 << 17  # per block of rows that nearest_rows widens and screens (1 MiB)
 _RECHECK_ELEMENTS = 1 << 16  # per block of rows that nearest_rows re-decides (512 KiB)
 
 
 def nearest_rows(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Index of the nearest center (squared Euclidean) for each row of ``x``.
 
-    The result is exactly the argmin of the direct form
+    The result is exactly the argmin of the float64 direct form
     ``((x[i] - centers) ** 2).sum(axis=1)``, ties included: they break on the
     lower center index.  Distances are screened with the GEMM form
     ``|x|^2 - 2 x.c + |c|^2``.  Both forms err by at most
-    ``(v + 2) * eps * (|x| + max|c|)^2`` per entry, so a row whose best and
-    second-best screened distances lie within four times that bound is
-    re-decided by the direct form, in blocks of rows: each row's sum runs
-    over its own contiguous ``v`` differences, as in the per-row form.
-    Memory is one ``(n, c)`` matrix plus one block of at most
-    ``_RECHECK_ELEMENTS`` differences (or one row's ``(c, v)``, if larger).
+    ``(v + 2) * eps * (|x| + max|c|)^2`` per entry, whatever order a GEMM
+    sums in, so a row whose best and second-best screened distances lie
+    within four times that bound is re-decided by the direct form: each
+    row's sum runs over its own contiguous ``v`` differences.
+
+    ``x`` may be float32.  Its rows are screened in blocks of about
+    ``_ROW_ELEMENTS`` values, each widened to float64 on its own, so memory
+    is one block's float64 rows and distances plus one re-check block of at
+    most ``_RECHECK_ELEMENTS`` differences (or one row's ``(c, v)``), never
+    a float64 copy of ``x``; the answer does not depend on the blocking.
 
     The re-check's tolerance grows with the squared norms, not with the
     distances.  Rows far from the origin relative to their spread, exact
@@ -228,7 +216,7 @@ def nearest_rows(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
     are all re-decided: the answer stays exact, but the cost approaches that
     of a direct scan.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)  # each block is widened to float64 below
     centers = np.asarray(centers, dtype=np.float64)
     if x.ndim != 2 or centers.ndim != 2 or x.shape[1] != centers.shape[1]:
         raise ValueError(
@@ -236,24 +224,30 @@ def nearest_rows(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
         )
     if centers.shape[0] == 0:
         raise ValueError("need at least one center")
+    n, v = x.shape
+    picks = np.zeros(n, dtype=np.intp)
     if centers.shape[0] == 1:
-        return np.zeros(x.shape[0], dtype=np.intp)
-    x_sq = np.einsum("ij,ij->i", x, x)
+        return picks
     c_sq = np.einsum("ij,ij->i", centers, centers)
-    d2 = np.add.outer(x_sq, c_sq)
-    d2 -= 2.0 * (x @ centers.T)
-    picks = d2.argmin(axis=1)
-    two_best = np.partition(d2, 1, axis=1)
-    gap = two_best[:, 1] - two_best[:, 0]
-    scale = np.sqrt(x_sq) + np.sqrt(c_sq.max())
-    tol = 4.0 * (x.shape[1] + 2) * np.finfo(np.float64).eps * scale**2
-    # a screen that may have overflowed has tol = inf; ``not >`` also catches nan
-    flagged = np.flatnonzero(~(gap > tol))
+    c_norm, bound = np.sqrt(c_sq.max()), 4.0 * (v + 2) * np.finfo(np.float64).eps
+    rows = max(1, _ROW_ELEMENTS // max(v, centers.shape[0]))
     step = max(1, _RECHECK_ELEMENTS // max(centers.size, 1))
-    for start in range(0, flagged.size, step):
-        block = flagged[start : start + step]
-        diff = x[block, None, :] - centers
-        picks[block] = np.square(diff, out=diff).sum(axis=2).argmin(axis=1)
+    for first in range(0, n, rows):
+        xb = np.asarray(x[first : first + rows], dtype=np.float64)
+        x_sq = np.einsum("ij,ij->i", xb, xb)
+        d2 = np.add.outer(x_sq, c_sq)
+        d2 -= 2.0 * (xb @ centers.T)
+        out = picks[first : first + rows]
+        out[:] = d2.argmin(axis=1)
+        two_best = np.partition(d2, 1, axis=1)
+        gap = two_best[:, 1] - two_best[:, 0]
+        tol = bound * (np.sqrt(x_sq) + c_norm) ** 2
+        # a screen that may have overflowed has tol = inf; ``not >`` also catches nan
+        flagged = np.flatnonzero(~(gap > tol))
+        for start in range(0, flagged.size, step):
+            block = flagged[start : start + step]
+            diff = xb[block, None, :] - centers
+            out[block] = np.square(diff, out=diff).sum(axis=2).argmin(axis=1)
     return picks
 
 
@@ -261,7 +255,10 @@ def classify_embedding_batch(
     model: EmbeddingModel, features: np.ndarray, candidates, semantics: SemanticTable
 ) -> list[str]:
     """Nearest mapped prototype among the candidates; ties break on class id."""
-    cand, protos = _prototype_matrix(model, candidates, semantics)
+    cand = sorted(candidates)
+    if not cand:
+        raise ValueError("candidate set is empty")
+    protos = semantics.matrix(cand) @ model.weights.T + model.bias
     return [cand[i] for i in nearest_rows(features, protos)]
 
 
@@ -672,8 +669,16 @@ def fit_classifier(
 
 
 def predict_classifier_batch(model: Classifier, features: np.ndarray) -> list[str]:
-    """Highest-logit class; ties break on class id (classes are sorted)."""
-    picks = model.logits(features).argmax(axis=1)
+    """Highest-logit class; ties break on class id (classes are sorted).
+
+    The logits are computed in the row cuts of :func:`_blocks` (8-row
+    multiples, each above OpenBLAS's small-matrix size), one block widened
+    to float64 at a time: every row's logits keep the whole table's bits.
+    """
+    feats = np.atleast_2d(np.asarray(features))
+    picks = np.empty(feats.shape[0], dtype=np.intp)
+    for start, stop in _blocks(feats.shape[0], 8, model.weights.size):
+        picks[start:stop] = model.logits(feats[start:stop]).argmax(axis=1)
     return [model.classes[i] for i in picks]
 
 

@@ -39,7 +39,7 @@ from hardboost.harst import run_harst, select_cfbs, selection_quota
 from hardboost.models import (
     classify_embedding_batch,
     cross_entropy_and_grad,
-    fit_embedding,
+    fit_embedding_means,
     fit_generator,
 )
 
@@ -131,7 +131,10 @@ def test_03_frequency_metrics():
         spec = unbalanced_benchmark_spec(seed)
         bundle, planted, _ = make_benchmark(spec)
         shrunk = unseen_class_ids(spec)[2 * spec.hard_pairs]
-        model = fit_embedding(bundle.train_seen, bundle.semantics, 0.1)
+        classes, means, _ = bundle.train_seen.class_stats()
+        model = fit_embedding_means(
+            bundle.semantics.matrix(classes), means, np.ones(len(classes)), 0.1
+        )
         preds = classify_embedding_batch(
             model, bundle.test_unseen.features, bundle.split.unseen, bundle.semantics
         )

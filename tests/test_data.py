@@ -1,4 +1,7 @@
+import re
+import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from hardboost import data as data_module
 from hardboost.data import (
     ClassSplit,
     DataError,
@@ -157,6 +161,20 @@ class TestFeatureTable:
         with pytest.raises(DataError, match="row 1.*UTF-8"):
             write_feature_table(table, tmp_path / "t", fmt=fmt)
         assert not (tmp_path / "t").exists()
+
+    @pytest.mark.parametrize("block_values", [2, 6, 1 << 18])
+    def test_first_non_finite_row_is_named_across_row_blocks(self, block_values, tmp_path):
+        feats = np.zeros((10, 2), dtype=np.float32)
+        feats[7, 1], feats[9, 0] = np.nan, np.inf
+        labels = "\n".join("a" * 10).encode()
+        path = tmp_path / "t.zsf"
+        path.write_bytes(b"ZSF1" + struct.pack("<IQI", 1, 10, 2) + feats.tobytes()
+                         + struct.pack("<I", len(labels)) + labels)
+        with mock.patch.object(data_module, "_FINITE_CHECK_ELEMENTS", block_values):
+            with pytest.raises(DataError, match=f"^{re.escape(str(path))}: non-finite feature value in row 7$"):
+                load_feature_table(path)
+            with pytest.raises(ValidationError, match="^non-finite feature value in row 7$"):
+                FeatureTable(features=feats, labels=("a",) * 10)
 
     def test_non_finite_rejected_at_construction(self):
         with pytest.raises(ValidationError, match="row 1"):

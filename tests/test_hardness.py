@@ -237,6 +237,26 @@ class TestPriorEstimation:
         assert len(priors) == c
         assert peak < n * c * v * 8 / 10  # the old broadcast tensor was 41 MB
 
+    def test_clusters_the_float32_rows_without_a_float64_copy(self, rng):
+        """3000 rows of 512 values in 50 clusters: the float64 copy of the
+        table alone would be 11.7 MiB."""
+        n, c, v = 3000, 50, 512
+        means = rng.normal(size=(c, v)) * 10
+        feats = means[np.arange(n) % c] + rng.normal(size=(n, v))
+        table = FeatureTable(features=feats.astype(np.float32), labels=("?",) * n)
+        split = ClassSplit(
+            seen=frozenset({"s"}), unseen=frozenset(f"c{j:02d}" for j in range(c))
+        )
+        labels = [f"c{j % c:02d}" for j in range(n)]
+        tracemalloc.start()
+        try:
+            priors = estimate_class_priors(table, split, seed=0, pseudo_labels=labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(priors) == c and sum(priors.values()) == pytest.approx(1.0)
+        assert peak < n * v * 8
+
     def test_too_few_samples(self):
         table = FeatureTable(features=np.ones((1, 2), dtype=np.float32), labels=("?",))
         split = ClassSplit(seen=frozenset({"s"}), unseen=frozenset({"c1", "c2"}))

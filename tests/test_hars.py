@@ -279,3 +279,43 @@ def test_order_preserving_relabel_maps_predictions_and_hard_set(seed, names):
     assert renamed_preds == [rename[c] for c in preds]
     assert renamed_hardness.hard == tuple(rename[c] for c in hardness.hard)
     assert renamed_report.acc_u == report.acc_u
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    hard_pairs=st.integers(1, 3),
+    extra_seen=st.integers(0, 6),
+    easy=st.integers(0, 5),
+    extra_dims=st.integers(0, 3),
+    visual_dim=st.integers(4, 24),
+    n_per_class=st.integers(2, 11),
+    gap=st.floats(0.02, 0.2),
+    noise=st.floats(0.0, 0.4),
+    seed=st.integers(0, 2**31 - 1),
+    data=st.data(),
+)
+def test_front_half_recovers_planted_classes_under_random_specs(
+    hard_pairs, extra_seen, easy, extra_dims, visual_dim, n_per_class, gap, noise, seed, data
+):
+    """``make_benchmark`` gives every planted class a negative semantic
+    margin: it is closer to its partner than to its two anchor seen classes
+    by ``affinity_gap``.  With at least three seen classes, every other
+    unseen class has a positive margin: c/3 on a private anchor at affinity
+    c, and c/3 - c^2 = 1/36 when several share one anchor at c = 1/6.  So
+    the ``K <= 2 * hard_pairs`` classes that ``fit_hard_generator`` ranks
+    hard are all planted, at any noise, seed or feature size."""
+    spec = BenchmarkSpec(
+        seen_count=2 * hard_pairs + 1 + extra_seen,
+        unseen_count=2 * hard_pairs + easy,
+        semantic_dim=4 * hard_pairs + 1 + extra_seen + easy + extra_dims,
+        visual_dim=visual_dim,
+        n_per_class=n_per_class,
+        hard_pairs=hard_pairs,
+        affinity_gap=gap,
+        noise_scale=noise,
+        seed=seed,
+    )
+    bundle, planted, _ = make_benchmark(spec)
+    k = data.draw(st.integers(1, 2 * hard_pairs), label="K")
+    report, _ = hars_module.fit_hard_generator(bundle, RunConfig(hard_count=k, seed=seed))
+    assert len(report.hard) == k and set(report.hard) <= set(planted)

@@ -3,6 +3,7 @@ import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from hardboost.models import (
     classify_embedding_batch,
     cross_entropy_and_grad,
     fit_classifier,
-    fit_embedding,
     fit_embedding_means,
     fit_generator,
     fit_predict_unseen,
@@ -49,6 +49,12 @@ def softmax(logits):
     return exp / exp.sum(axis=1, keepdims=True)
 
 
+def fit_unit_counts(train, semantics, ridge=0.0):
+    """:func:`fit_embedding_means` on ``train``'s class means, one count per class."""
+    classes, means, _ = train.class_stats()
+    return fit_embedding_means(semantics.matrix(classes), means, np.ones(len(classes)), ridge)
+
+
 def fit_embedding_rows(sem_rows, targets, ridge=0.0):
     """Row-level reference: one (semantic vector, feature vector) pair per row,
     so repeated rows weight the fit by their multiplicity."""
@@ -65,14 +71,14 @@ class TestFitEmbedding:
     def test_exact_one_dimensional_fit(self):
         train = table([[2.0], [2.0], [4.0], [4.0]], ["a", "a", "b", "b"])
         sem = SemanticTable(vectors={"a": [1.0], "b": [2.0]})
-        model = fit_embedding(train, sem, ridge=0.0)
+        model = fit_unit_counts(train, sem, ridge=0.0)
         assert model.weights[0, 0] == pytest.approx(2.0)
         assert model.bias[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_large_ridge_shrinks_to_global_mean(self):
         train = table([[2.0], [4.0]], ["a", "b"])
         sem = SemanticTable(vectors={"a": [1.0], "b": [2.0]})
-        model = fit_embedding(train, sem, ridge=1e9)
+        model = fit_unit_counts(train, sem, ridge=1e9)
         assert abs(model.weights[0, 0]) < 1e-6
         assert model.bias[0] == pytest.approx(3.0, abs=1e-6)
 
@@ -81,19 +87,19 @@ class TestFitEmbedding:
         train = table(rng.normal(size=(4, 2)), ["a", "a", "b", "b"])
         sem = SemanticTable(vectors={"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0]})
         with pytest.raises(SingularFitError, match="ridge"):
-            fit_embedding(train, sem, ridge=0.0)
+            fit_unit_counts(train, sem, ridge=0.0)
 
     def test_desk_bundle_at_ridge_zero_is_singular(self, data_dir):
         # 12 seen classes span at most 11 centred directions of a 20-d semantic space
         bundle = load_bundle(data_dir)
         with pytest.raises(SingularFitError, match="ridge"):
-            fit_embedding(bundle.train_seen, bundle.semantics, ridge=0.0)
+            fit_unit_counts(bundle.train_seen, bundle.semantics, ridge=0.0)
 
     def test_refit_is_bit_identical(self, rng):
         train = table(rng.normal(size=(20, 4)), [f"c{i % 5}" for i in range(20)])
         sem = SemanticTable(vectors={f"c{i}": rng.normal(size=3) for i in range(5)})
-        first = fit_embedding(train, sem, ridge=0.1)
-        second = fit_embedding(train, sem, ridge=0.1)
+        first = fit_unit_counts(train, sem, ridge=0.1)
+        second = fit_unit_counts(train, sem, ridge=0.1)
         assert np.array_equal(first.weights, second.weights)
         assert np.array_equal(first.bias, second.bias)
 
@@ -102,7 +108,7 @@ class TestFitEmbedding:
         train = table(rng.normal(size=(25, 4)), [f"c{i % 5}" for i in range(25)])
         sem = SemanticTable(vectors={f"c{i}": rng.normal(size=3) for i in range(5)})
         ridge = 0.05
-        model = fit_embedding(train, sem, ridge=ridge)
+        model = fit_unit_counts(train, sem, ridge=ridge)
         classes = sorted(set(train.labels))
         means = np.stack(
             [train.features[train.rows_for(c)].astype(float).mean(axis=0) for c in classes]
@@ -125,7 +131,7 @@ class TestClassifyEmbedding:
 
     def fitted(self):
         train = table([[1.0, 0.0], [0.0, 2.0], [1.0, 2.0]], ["a", "b", "c"])
-        return fit_embedding(train, self.SEM, ridge=1e-9)
+        return fit_unit_counts(train, self.SEM, ridge=1e-9)
 
     def test_exact_prototype_hit(self):
         model = self.fitted()
@@ -170,22 +176,34 @@ class TestNearestRows:
         seed=st.integers(0, 2**32 - 1),
         scale=st.sampled_from([1e-3, 1.0, 1e3]),
         duplicate=st.booleans(),
+        repeats=st.integers(1, 4),
+        block_rows=st.integers(1, 16),
+        float32=st.booleans(),
     )
-    def test_equals_direct_argmin_on_planted_ties(self, v, c, seed, scale, duplicate):
+    def test_equals_direct_argmin_on_planted_ties(
+        self, v, c, seed, scale, duplicate, repeats, block_rows, float32
+    ):
+        """Whatever the row blocking, and for float32 or float64 rows, the
+        answer is the float64 direct form's.  The rows are shuffled, so
+        midpoints and center hits, and with a duplicated center every row,
+        are re-decided in more than one block."""
         rng = np.random.default_rng(seed)
         # small integer grids make exact distance ties common
         centers = rng.integers(-3, 4, size=(c, v)) * scale
         if duplicate and c > 1:
             centers[-1] = centers[0]
-        a = rng.integers(0, c, size=8)
-        b = rng.integers(0, c, size=8)
-        x = np.concatenate([
+        a = rng.integers(0, c, size=8 * repeats)
+        b = rng.integers(0, c, size=8 * repeats)
+        x = rng.permutation(np.concatenate([
             (centers[a] + centers[b]) / 2,  # midpoints between two centers
             centers[a],  # exact center hits
-            rng.integers(-3, 4, size=(8, v)) * scale,
-            rng.normal(size=(4, v)) * scale,
-        ])
-        np.testing.assert_array_equal(nearest_rows(x, centers), direct_argmin(x, centers))
+            rng.integers(-3, 4, size=(8 * repeats, v)) * scale,
+            rng.normal(size=(4 * repeats, v)) * scale,
+        ]))
+        x = x.astype(np.float32 if float32 else np.float64)
+        with mock.patch.object(models, "_ROW_ELEMENTS", block_rows * max(v, c)):
+            picks = nearest_rows(x, centers)
+        np.testing.assert_array_equal(picks, direct_argmin(x.astype(np.float64), centers))
 
     @pytest.mark.parametrize("v", [2, 3, 17, 312, 512, 2048])
     def test_matches_broadcast_reduction(self, v, rng):
@@ -238,6 +256,23 @@ def test_duplicated_centers_match_the_per_row_form(n, v, c, rng):
     x = np.concatenate([rng.normal(size=(n - 10, v)), (centers[:5] + centers[-5:]) / 2,
                         centers[:5]])
     np.testing.assert_array_equal(nearest_rows(x, centers), direct_argmin(x, centers))
+
+
+def test_nearest_rows_holds_no_float64_copy_of_the_rows(rng):
+    """3000 float32 rows of 512 values against 50 centers: the float64
+    copy of the rows alone would be 11.7 MiB."""
+    n, v, c = 3000, 512, 50
+    x = rng.normal(size=(n, v)).astype(np.float32)
+    centers = rng.normal(size=(c, v))
+    expected = nearest_rows(x.astype(np.float64), centers)
+    tracemalloc.start()
+    try:
+        picks = nearest_rows(x, centers)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(picks, expected)
+    assert peak < n * v * 8
 
 
 def test_zero_width_rows_take_one_block():
@@ -784,6 +819,26 @@ class TestClassifier:
 
 
 class TestPredictClassifier:
+    @pytest.mark.parametrize("n, c, v", [(2003, 20, 512), (1000, 51, 312)])
+    def test_row_blocks_equal_the_whole_table(self, n, c, v, rng):
+        """Prediction computes the logits in several row blocks; each block's
+        logits are bit-equal to the whole table's, so the argmax is too."""
+        model = Classifier(
+            classes=tuple(f"k{i:02d}" for i in range(c)),
+            weights=rng.normal(size=(c, v)),
+            bias=rng.normal(size=c),
+            config=ClassifierConfig(),
+        )
+        feats = rng.normal(size=(n, v)).astype(np.float32)
+        blocks = _blocks(n, 8, model.weights.size)
+        assert len(blocks) > 1
+        whole = model.logits(feats)
+        for start, stop in blocks:
+            np.testing.assert_array_equal(model.logits(feats[start:stop]), whole[start:stop])
+        assert predict_classifier_batch(model, feats) == [
+            model.classes[i] for i in whole.argmax(axis=1)
+        ]
+
     def model(self):
         w = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
         return Classifier(
@@ -831,7 +886,7 @@ def test_relabeling_permutation_invariance(rng):
     """Renaming classes maps predictions through the renaming (tie-free)."""
     sem_vectors = {f"c{i}": rng.normal(size=3) for i in range(4)}
     train = table(rng.normal(size=(16, 3)), [f"c{i % 4}" for i in range(16)])
-    model = fit_embedding(train, SemanticTable(vectors=sem_vectors), ridge=0.1)
+    model = fit_unit_counts(train, SemanticTable(vectors=sem_vectors), ridge=0.1)
     renaming = {"c0": "z3", "c1": "z1", "c2": "z0", "c3": "z2"}
     renamed_sem = SemanticTable(
         vectors={renaming[c]: v for c, v in sem_vectors.items()}
@@ -859,7 +914,7 @@ def test_fit_embedding_rows_matches_class_mean_fit(rng):
     targets = rng.normal(size=(6, 4)).astype(np.float32)
     sem_table = SemanticTable(vectors={f"c{i}": sems[i] for i in range(6)})
     train = table(targets, [f"c{i}" for i in range(6)])
-    by_class = fit_embedding(train, sem_table, ridge=0.1)
+    by_class = fit_unit_counts(train, sem_table, ridge=0.1)
     by_means = fit_embedding_means(sems, targets.astype(np.float64), np.ones(6), ridge=0.1)
     by_rows = fit_embedding_rows(sems, targets.astype(np.float64), ridge=0.1)
     for model in (by_means, by_rows):
