@@ -160,12 +160,6 @@ def _rotation(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def _sample_class(
-    rng: np.random.Generator, mean: np.ndarray, count: int, noise: float
-) -> np.ndarray:
-    return mean + noise * rng.standard_normal((count, mean.size))
-
-
 def make_benchmark(
     spec: BenchmarkSpec,
 ) -> tuple[DatasetBundle, list[str], np.ndarray]:
@@ -185,16 +179,17 @@ def make_benchmark(
     split = ClassSplit(seen=frozenset(seen), unseen=frozenset(unseen))
 
     def table(class_ids, counts, stream_name) -> FeatureTable:
-        # Each class's float64 draw is cast straight into its rows of the
+        # Each class's float64 draw is scaled and shifted in place (bit for
+        # bit ``mean + noise * draw``) and cast straight into its rows of the
         # float32 table, so no float64 copy of the whole table is ever held.
         feats = np.empty((sum(counts[cls] for cls in class_ids), spec.visual_dim), np.float32)
         labels = []
         for idx, cls in enumerate(class_ids):
             count = counts[cls]
-            rng = substream(spec.seed, stream_name, idx)
-            feats[len(labels) : len(labels) + count] = _sample_class(
-                rng, w0 @ protos[cls], count, spec.noise_scale
-            )
+            draw = substream(spec.seed, stream_name, idx).standard_normal((count, spec.visual_dim))
+            draw *= spec.noise_scale
+            draw += w0 @ protos[cls]
+            feats[len(labels) : len(labels) + count] = draw
             labels.extend([cls] * count)
         return FeatureTable(features=feats, labels=tuple(labels))
 

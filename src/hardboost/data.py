@@ -505,7 +505,9 @@ def load_semantic_table(path) -> SemanticTable:
 def write_semantic_table(table: SemanticTable, path) -> None:
     lines = []
     for cls in sorted(table.vectors):
-        values = ",".join(str(v) for v in table.vectors[cls])
+        # repr of a Python float is the text str gives the numpy scalar, but
+        # faster to reach
+        values = ",".join(map(repr, table.vectors[cls].tolist()))
         lines.append(f"{cls},{values}")
     atomic_write_text(path, "\n".join(lines) + "\n")
 

@@ -6,7 +6,8 @@ interpolating sample/semantic pairs between each hard class's most similar
 seen classes (its support classes, two by default), and the classifier is
 trained with proportionally more generated samples for hard classes than
 for easy ones.  The virtual rows come back as a :class:`SynthSet` of
-arrays; the generated unseen rows as plain (features, labels).
+float64 arrays; the generated unseen rows as plain (features, labels), the
+features float32, the dtype the classifier trains in.
 """
 
 from __future__ import annotations
@@ -109,7 +110,8 @@ def synthesize_hard_seen(
     its two endpoints from two distinct support classes and a single mixing
     weight gamma ~ U(0,1) shared by the feature and semantic interpolation,
     so every row lies on one recorded segment.  Deterministic given ``seed``
-    (each hard class owns an index-derived substream).
+    (each hard class owns an index-derived substream).  Rows are interpolated
+    straight from the float32 training rows (:func:`_interpolate`).
     """
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
@@ -140,17 +142,35 @@ def synthesize_hard_seen(
     gamma = np.array(gammas, dtype=np.float64)
     source_rows = np.array(row_pairs, dtype=np.intp).reshape(-1, 2)
     source_classes = np.array(class_pairs, dtype=str).reshape(-1, 2)
-    feats = train.features[source_rows].astype(np.float64)
-    sems = np.array([semantics[cls] for cls in source_classes.flat], dtype=np.float64)
-    sems = sems.reshape(-1, 2, semantics.dim)
-    g = gamma[:, None]
+    support = list(rows_by_class)
+    at = {cls: k for k, cls in enumerate(support)}
+    class_rows = np.array([[at[a], at[b]] for a, b in class_pairs], dtype=np.intp).reshape(-1, 2)
+    sem_table = semantics.matrix(support) if support else np.empty((0, semantics.dim))
     return SynthSet(
-        features=g * feats[:, 0] + (1.0 - g) * feats[:, 1],
-        semantics=g * sems[:, 0] + (1.0 - g) * sems[:, 1],
+        features=_interpolate(gamma, train.features, source_rows),
+        semantics=_interpolate(gamma, sem_table, class_rows),
         gamma=gamma,
         source_rows=source_rows,
         source_classes=source_classes,
     )
+
+
+_INTERP_ELEMENTS = 1 << 17  # per block of rows that _interpolate gathers (1 MiB in float64)
+
+
+def _interpolate(gamma: np.ndarray, table: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Float64 ``gamma * table[pairs[:, 0]] + (1 - gamma) * table[pairs[:, 1]]``,
+    bit for bit that form on ``table`` widened to float64.  The endpoints are
+    gathered a row block at a time in ``table``'s dtype and widened (exactly)
+    inside each product: no (n, 2, dim) float64 gather is held."""
+    out = np.empty((pairs.shape[0], table.shape[1]))
+    step = max(1, _INTERP_ELEMENTS // table.shape[1])
+    for start in range(0, out.shape[0], step):
+        block = slice(start, start + step)
+        g = gamma[block, None]
+        np.multiply(g, table[pairs[block, 0]], out=out[block])
+        out[block] += (1.0 - g) * table[pairs[block, 1]]
+    return out
 
 
 def synthesize_unseen(
@@ -163,8 +183,9 @@ def synthesize_unseen(
     seed: int,
 ) -> tuple[np.ndarray, list[str]]:
     """Generate class-conditioned rows: n_unseen per easy unseen class,
-    round(beta * n_unseen) per hard one.  Returns the rows and one label per
-    row, unseen classes in id order.  Deterministic given ``seed``."""
+    round(beta * n_unseen) per hard one.  Returns the float32 rows (see
+    :func:`~hardboost.models.sample_per_class`) and one label per row, unseen
+    classes in id order.  Deterministic given ``seed``."""
     if n_unseen < 1:
         raise ValueError("n_unseen must be >= 1")
     hard = set(hard)

@@ -278,6 +278,28 @@ class GenerativeModel:
         return self.coeff @ np.asarray(e, dtype=np.float64)
 
 
+def _byte_groups(rows: np.ndarray) -> list[list[int]]:
+    """Indices of the rows of 2-D ``rows`` grouped by exact bytes (so ``-0.0``
+    and ``0.0`` differ), groups in order of their first row.
+
+    Rows are bucketed by the hash of their bytes and matched byte for byte
+    within a bucket, so no key holds a copy of a row.
+    """
+    groups: list[list[int]] = []
+    buckets: dict[int, list[int]] = {}  # hash of a row's bytes -> indices into groups
+    for i, row in enumerate(rows):
+        key = row.tobytes()
+        bucket = buckets.setdefault(hash(key), [])
+        for g in bucket:
+            if rows[groups[g][0]].tobytes() == key:
+                groups[g].append(i)
+                break
+        else:
+            bucket.append(len(groups))
+            groups.append([i])
+    return groups
+
+
 def fit_generator(
     train: FeatureTable,
     semantics: SemanticTable,
@@ -293,11 +315,12 @@ def fit_generator(
     of ``extra``, label) pairs, merged into ``train``'s cached statistics as
     :func:`_class_means` merges them, so the fit is bit for bit the fit on
     one table holding both.  Synthesized rows, which carry continuous
-    interpolated semantic vectors, group by exact semantic vector --
-    typically singleton groups that shape the map without contributing
-    scatter.  The shared covariance is the within-group variance pooled over
-    all rows with a degrees-of-freedom correction, floored at
-    ``COVARIANCE_FLOOR``.
+    interpolated semantic vectors, group by the exact bytes of their semantic
+    vector (:func:`_byte_groups`), in order of their first row -- typically
+    singleton groups that shape the map without contributing scatter, each
+    written once into the one design and target array.  The shared
+    covariance is the within-group variance pooled over all rows with a
+    degrees-of-freedom correction, floored at ``COVARIANCE_FLOOR``.
 
     Every synthesized semantic vector mixes the vectors of its two source
     classes, so the design's rank is at most the number of distinct real
@@ -309,15 +332,12 @@ def fit_generator(
     labels, means, counts, sem, scatters = _class_means(
         train, semantics, extra, selected, scatter=True
     )
-    group_sems = [sem]
-    group_means = [means]
     sq_dev = np.zeros(train.dim, dtype=np.float64)
     for scatter in scatters:  # one class at a time, in label order: a numpy sum may pair them
         sq_dev += scatter
     n_rows = int(counts.sum())
-    n_groups = sem.shape[0]
     classes = set(labels)
-
+    groups: list[list[int]] = []
     if synth is not None and len(synth) > 0:
         if synth.semantics.shape[1] != semantics.dim:
             raise ValueError(
@@ -326,28 +346,25 @@ def fit_generator(
             )
         sem_rows = np.asarray(synth.semantics, dtype=np.float64)
         feat_rows = np.asarray(synth.features, dtype=np.float64)
-        groups: dict[bytes, list[int]] = {}
-        for i in range(len(synth)):
-            groups.setdefault(sem_rows[i].tobytes(), []).append(i)
-        # A singleton group's mean is its row and it adds no scatter, so only
-        # groups sharing a semantic vector are reduced.  One array holds every
-        # group mean: an array per group fragments the heap that later large
-        # arrays are placed in, and peak RSS then depends on where they land.
-        firsts = [rows[0] for rows in groups.values()]
-        synth_means = feat_rows[firsts]
-        for k, rows in enumerate(groups.values()):
-            if len(rows) > 1:
-                members = feat_rows[rows]
-                synth_means[k] = mean = members.mean(axis=0)
-                sq_dev += ((members - mean) ** 2).sum(axis=0)
-        group_sems.append(sem_rows[firsts])
-        group_means.append(synth_means)
+        groups = _byte_groups(sem_rows)
         n_rows += len(synth)
-        n_groups += len(groups)
         classes.update(synth.source_classes.ravel().tolist())
 
-    design = np.concatenate(group_sems)
-    targets = np.concatenate(group_means)
+    # real classes first, then one row per synthesized group
+    n_real = sem.shape[0]
+    n_groups = n_real + len(groups)
+    design = np.empty((n_groups, semantics.dim))
+    targets = np.empty((n_groups, train.dim))
+    design[:n_real] = sem
+    targets[:n_real] = means
+    for k, rows in enumerate(groups, n_real):
+        design[k] = sem_rows[rows[0]]
+        if len(rows) == 1:  # a singleton's mean is its row, and it adds no scatter
+            targets[k] = feat_rows[rows[0]]
+        else:
+            members = feat_rows[rows]
+            targets[k] = mean = members.mean(axis=0)
+            sq_dev += ((members - mean) ** 2).sum(axis=0)
     coeff = _ridge_solve(design, targets, ridge, min(n_groups, len(classes)))
     dof = max(n_rows - n_groups, 1)
     covariance = np.maximum(sq_dev / dof, COVARIANCE_FLOOR)
@@ -374,14 +391,17 @@ def sample_per_class(
     """Draw ``counts[cls]`` rows per class, classes in the dict's order.
 
     Class ``i`` of ``counts`` draws from ``child_seed(seed, *stream, i)``, so
-    each class owns a substream.  Returns the stacked rows and one label per row.
+    each class owns a substream.  Returns the rows, float32 as the classifier
+    trains, and one label per row: each class is drawn in float64 and cast
+    straight into its rows, so no float64 copy of all the rows is held.
     """
-    parts = [
-        sample_generator(model, semantics[cls], n, child_seed(seed, *stream, i))
-        for i, (cls, n) in enumerate(counts.items())
-    ]
-    labels = [cls for cls, n in counts.items() for _ in range(n)]
-    return np.concatenate(parts), labels
+    feats = np.empty((sum(counts.values()), model.coeff.shape[0]), dtype=np.float32)
+    labels: list[str] = []
+    for i, (cls, n) in enumerate(counts.items()):
+        draw = sample_generator(model, semantics[cls], n, child_seed(seed, *stream, i))
+        feats[len(labels) : len(labels) + n] = draw
+        labels.extend([cls] * n)
+    return feats, labels
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -25,6 +25,7 @@ from hardboost.data import (
     validate_bundle,
     write_bundle,
     write_feature_table,
+    write_semantic_table,
 )
 from hardboost.data import _feature_binary_chunks
 
@@ -230,6 +231,33 @@ class TestSemanticTable:
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError, match="'b'"):
             SemanticTable(vectors={"a": [1.0, 2.0], "b": [1.0]})
+
+    @settings(max_examples=2000, deadline=None)
+    @given(st.integers(0, 2**64 - 1))
+    # +0.0, -0.0, the smallest and the largest subnormal, +-the largest finite
+    @example(0)
+    @example(1 << 63)
+    @example(1)
+    @example(0x000FFFFFFFFFFFFF)
+    @example(0x7FEFFFFFFFFFFFFF)
+    @example(0xFFEFFFFFFFFFFFFF)
+    def test_float_repr_is_the_numpy_scalar_text(self, bits):
+        # the writer formats a Python float with repr; the file's bytes are
+        # those of str on each numpy float64 scalar
+        x = np.array(bits, dtype=np.uint64).view(np.float64)[()]
+        assert repr(float(x)) == str(x)
+
+    @settings(max_examples=50, deadline=None)
+    @given(hnp.arrays(np.float64, (3, 4), elements=st.floats(allow_nan=False, allow_infinity=False)))
+    def test_write_is_the_numpy_scalar_text_and_round_trips(self, tmp_path_factory, values):
+        path = tmp_path_factory.mktemp("sem") / "sem.csv"
+        table = SemanticTable(vectors={f"c{i}": row for i, row in enumerate(values)})
+        write_semantic_table(table, path)
+        assert path.read_text() == "".join(
+            f"c{i},{','.join(str(v) for v in row)}\n" for i, row in enumerate(values)
+        )
+        loaded = load_semantic_table(path)
+        assert all(loaded[cls].tobytes() == vec.tobytes() for cls, vec in table.vectors.items())
 
 
 class TestSplit:

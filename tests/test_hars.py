@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -139,6 +141,34 @@ class TestSynthesizeHardSeen:
         )
         with pytest.raises(ValueError, match="no training samples"):
             synthesize_hard_seen(only_sc, sem, split, ["u1"], 1.0, 2, seed=0)
+
+    def test_interpolates_without_a_float64_gather_of_its_sources(self):
+        # 150 seen classes of 60 rows, 512-d; 10 hard classes, each with 240
+        # rows from 120 support rows: 2400 rows, whose (2400, 2, 512) float64
+        # gather alone is 18.75 MiB
+        rng = np.random.default_rng(3)
+        seen = [f"s{i:03d}" for i in range(150)]
+        hard = [f"u{i}" for i in range(10)]
+        sem = SemanticTable(vectors={c: rng.normal(size=32) for c in seen + hard})
+        split = ClassSplit(seen=frozenset(seen), unseen=frozenset(hard))
+        train = FeatureTable(features=rng.normal(size=(9000, 512)).astype(np.float32),
+                             labels=tuple(seen[i % 150] for i in range(9000)))
+        tracemalloc.start()
+        try:
+            synth = synthesize_hard_seen(train, sem, split, hard, 2.0, 2, seed=4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(synth) == 2400
+        assert peak < 2400 * 2 * 512 * 8
+        # and the rows are bit for bit the direct form on float64 endpoints
+        g = synth.gamma[:, None]
+        feats = train.features[synth.source_rows].astype(np.float64)
+        direct = g * feats[:, 0] + (1.0 - g) * feats[:, 1]
+        assert synth.features.tobytes() == direct.tobytes()
+        sems = sem.matrix(synth.source_classes.ravel()).reshape(-1, 2, 32)
+        direct = g * sems[:, 0] + (1.0 - g) * sems[:, 1]
+        assert synth.semantics.tobytes() == direct.tobytes()
 
     def test_one_support_class_cannot_interpolate(self):
         train, sem, split = small_world()

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import threading
 import tracemalloc
@@ -332,13 +333,19 @@ class TestFitGenerator:
     def test_synth_groups_fit_as_one_reduction_per_group(self, rng):
         from hardboost.hars import SynthSet
 
-        # 20 virtual rows on 9 semantic vectors: rows sharing a vector pool
-        # into one group, the others stay singletons
+        # 20 virtual rows on 11 semantic vectors: rows sharing a vector pool
+        # into one group, the others stay singletons.  Vectors 9 and 10 differ
+        # only in 0.0 against -0.0, so they are two groups, and the groups'
+        # first rows come in neither vector order nor byte order.
         train = table(rng.normal(size=(40, 6)), [f"s{i % 4}" for i in range(40)])
         sem = SemanticTable(vectors={f"s{i}": rng.normal(size=3) for i in range(4)})
+        vecs = rng.normal(size=(11, 3))
+        vecs[9:] = vecs[0]
+        vecs[9, 1], vecs[10, 1] = 0.0, -0.0
+        picks = [10, 4, 9, 8, 10, 2, 9, 4, 0, 7, 8, 10, 5, 1, 9, 3, 6, 4, 2, 10]
         synth = SynthSet(
             features=rng.normal(size=(20, 6)),
-            semantics=rng.normal(size=(9, 3))[rng.integers(0, 9, size=20)],
+            semantics=vecs[picks],
             gamma=np.zeros(20),
             source_rows=np.zeros((20, 2), dtype=np.intp),
             source_classes=np.array([["s0", "s1"]] * 20),
@@ -346,6 +353,7 @@ class TestFitGenerator:
         groups = {}
         for i, vec in enumerate(synth.semantics):
             groups.setdefault(vec.tobytes(), []).append(i)
+        assert [rows[0] for rows in groups.values()] == [0, 1, 2, 3, 5, 8, 9, 12, 13, 15, 16]
         _, means, counts, sems, scatters = _class_means(train, sem, scatter=True)
         sq_dev = np.zeros(6)
         for scatter in scatters:
@@ -359,11 +367,38 @@ class TestFitGenerator:
             sq_dev += ((members - mean) ** 2).sum(axis=0)
         dof = counts.sum() + len(synth) - len(design[0]) - len(groups)
 
-        model = fit_generator(train, sem, 0.1, synth)
         coeff = _ridge_solve(np.concatenate(design), np.concatenate(targets), 0.1)
-        assert model.coeff.tobytes() == coeff.tobytes()
         covariance = np.maximum(sq_dev / dof, COVARIANCE_FLOOR)
-        assert model.covariance.tobytes() == covariance.tobytes()
+        # every row hashing alike puts every group in one bucket
+        for hashed in (contextlib.nullcontext(),
+                       mock.patch.object(models, "hash", lambda key: 0, create=True)):
+            with hashed:
+                model = fit_generator(train, sem, 0.1, synth)
+            assert model.coeff.tobytes() == coeff.tobytes()
+            assert model.covariance.tobytes() == covariance.tobytes()
+
+    def test_singleton_synth_rows_are_copied_once(self, rng):
+        # 2400 virtual rows on distinct semantic vectors: one group each
+        from hardboost.hars import SynthSet
+
+        train = table(rng.normal(size=(40, 256)), [f"s{i % 4}" for i in range(40)])
+        sem = SemanticTable(vectors={f"s{i}": rng.normal(size=64) for i in range(4)})
+        synth = SynthSet(
+            features=rng.normal(size=(2400, 256)),
+            semantics=rng.normal(size=(2400, 64)),
+            gamma=np.zeros(2400),
+            source_rows=np.zeros((2400, 2), dtype=np.intp),
+            source_classes=np.array([["s0", "s1"]] * 2400),
+        )
+        fit_generator(train, sem, 0.1)  # caches the class statistics
+        tracemalloc.start()
+        try:
+            fit_generator(train, sem, 0.1, synth)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        design_and_targets = 2404 * (64 + 256) * 8
+        assert peak < 1.5 * design_and_targets
 
     def test_a_cached_refit_holds_no_float64_copy_of_the_table(self, rng):
         # 40 classes of 75 rows, 128-d: one class in float64 is 75 KiB
@@ -562,14 +597,16 @@ class TestSamplePerClass:
             sample_generator(model, sem[cls], n, child_seed(9, "stream", 4, i))
             for i, (cls, n) in enumerate(counts.items())
         ]
-        np.testing.assert_array_equal(feats, np.concatenate(expected))
+        # each class is drawn in float64 and cast into the float32 rows
+        assert feats.dtype == np.float32
+        np.testing.assert_array_equal(feats, np.concatenate(expected).astype(np.float32))
 
     def test_zero_count_gives_no_rows(self):
         model, sem = self.model()
         feats, labels = sample_per_class(model, sem, {"a": 0, "b": 2}, 1, "s")
         assert labels == ["b", "b"]
         np.testing.assert_array_equal(
-            feats, sample_generator(model, sem["b"], 2, child_seed(1, "s", 1))
+            feats, sample_generator(model, sem["b"], 2, child_seed(1, "s", 1)).astype(np.float32)
         )
         feats, labels = sample_per_class(model, sem, {"a": 0}, 1, "s")
         assert feats.shape == (0, 2) and labels == []
