@@ -29,6 +29,7 @@ from .config import RunConfig, _checked, _fields_by_key, load_run_config, requir
 from .data import (
     ConfigError,
     DataError,
+    DatasetBundle,
     ValidationError,
     atomic_write_text,
     dump_json,
@@ -172,6 +173,11 @@ def load_predictions(path) -> list[str]:
     return [by_index[i] for i in range(len(by_index))]
 
 
+def _load_bundle(path) -> DatasetBundle:
+    # no command reads test_seen: validated on load, it need not be held
+    return dataclasses.replace(load_bundle(path), test_seen=None)
+
+
 def _test_unseen_predictions(path, bundle) -> list[str]:
     """Read a predictions CSV that must hold one row per unseen test row."""
     preds = load_predictions(path)
@@ -265,7 +271,7 @@ def _hardness_for(args, bundle) -> HardnessReport:
 
 def _cmd_identify(args) -> int:
     started = time.monotonic()
-    bundle = load_bundle(args.data)
+    bundle = _load_bundle(args.data)
     report = _hardness_for(args, bundle)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -284,7 +290,7 @@ def _resolved_config(args) -> RunConfig:
 
 def _cmd_hars(args) -> int:
     started = time.monotonic()
-    bundle = load_bundle(args.data)
+    bundle = _load_bundle(args.data)
     config = _resolved_config(args)
     preds, hardness, report = run_hars(bundle, config)
     out = Path(args.out)
@@ -321,7 +327,7 @@ def _trace_json(trace) -> dict:
 
 def _cmd_harst(args) -> int:
     started = time.monotonic()
-    bundle = load_bundle(args.data)
+    bundle = _load_bundle(args.data)
     config = _resolved_config(args)
     preds, trace = run_harst(bundle, config)
     out = Path(args.out)
@@ -337,7 +343,7 @@ def _cmd_harst(args) -> int:
 
 def _cmd_eval(args) -> int:
     started = time.monotonic()
-    bundle = load_bundle(args.data)
+    bundle = _load_bundle(args.data)
     preds = _test_unseen_predictions(args.preds, bundle)
     report = evaluate(preds, list(bundle.test_unseen.labels), bundle.split)
     out = Path(args.out)
@@ -350,7 +356,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_analyze(args) -> int:
     started = time.monotonic()
-    bundle = load_bundle(args.data)
+    bundle = _load_bundle(args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.mode == "identification":
@@ -442,7 +448,7 @@ def _cmd_sweep(args) -> int:
     the workers' BLAS threads do not oversubscribe the CPUs.
     """
     started = time.monotonic()
-    bundle = load_bundle(args.data)
+    bundle = _load_bundle(args.data)
     base_config = load_run_config(args.config)
     try:
         grid = json.loads(Path(args.grid).read_text(encoding="utf-8"))

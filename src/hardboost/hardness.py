@@ -200,7 +200,7 @@ def estimate_class_priors(
         assign = None
         for _ in range(100):
             new_assign = nearest_rows(x, centers)
-            if np.unique(new_assign).size < c:
+            if (np.bincount(new_assign, minlength=c) == 0).any():  # an empty cluster
                 assign = None
                 break
             centers = np.stack([x[new_assign == j].astype(float).mean(axis=0) for j in range(c)])

@@ -5,9 +5,10 @@ two fronts: the generator is trained with extra virtual classes built by
 interpolating sample/semantic pairs between each hard class's most similar
 seen classes (its support classes, two by default), and the classifier is
 trained with proportionally more generated samples for hard classes than
-for easy ones.  The virtual rows come back as a :class:`SynthSet` of
-float64 arrays; the generated unseen rows as plain (features, labels), the
-features float32, the dtype the classifier trains in.
+for easy ones.  The virtual classes come back as a :class:`SynthSet`, the
+recipe of each row, which the generator fit interpolates straight into its
+design; the generated unseen rows as plain (features, labels), the features
+float32, the dtype the classifier trains in.
 """
 
 from __future__ import annotations
@@ -52,30 +53,47 @@ def _stage(name: str, fn, *args, **kwargs):
 
 @dataclass(frozen=True)
 class SynthSet:
-    """Interpolated (feature, semantic) rows and how each was mixed.
+    """How each interpolated (feature, semantic) row is mixed, and the tables
+    it is mixed from; the rows themselves are not held.
 
     Row ``i`` is ``gamma[i]`` times the training row ``source_rows[i, 0]`` of
     class ``source_classes[i, 0]`` plus ``1 - gamma[i]`` times the row
     ``source_rows[i, 1]`` of class ``source_classes[i, 1]``, features and
-    semantic vectors alike.
+    semantic vectors alike, in float64.  :meth:`interpolate_into` writes the
+    rows into a caller's arrays; :attr:`features` and :attr:`semantics`
+    interpolate them afresh on each access.
     """
 
-    features: np.ndarray  # (n, v) float64
-    semantics: np.ndarray  # (n, s) float64
     gamma: np.ndarray  # (n,) float64
     source_rows: np.ndarray  # (n, 2) training-table row indices
     source_classes: np.ndarray  # (n, 2) class ids
+    train_features: np.ndarray  # (rows, v) the training table's rows, not copied
+    support_semantics: np.ndarray  # (k, s) the support classes' semantic rows
+    support_rows: np.ndarray  # (n, 2) rows of support_semantics, per source class
 
     def __post_init__(self):
-        n = self.features.shape[0]
+        n = self.gamma.shape[0]
         if not (
-            self.semantics.shape[0] == self.gamma.shape[0] == n
-            and self.source_rows.shape == self.source_classes.shape == (n, 2)
+            self.source_rows.shape == self.source_classes.shape
+            == self.support_rows.shape == (n, 2)
         ):
             raise ValueError("synth set fields disagree on row count")
 
     def __len__(self) -> int:
-        return self.features.shape[0]
+        return self.gamma.shape[0]
+
+    def interpolate_into(self, features: np.ndarray, semantics: np.ndarray) -> None:
+        """Write the (n, v) feature rows and (n, s) semantic rows."""
+        _interpolate(self.gamma, self.train_features, self.source_rows, features)
+        _interpolate(self.gamma, self.support_semantics, self.support_rows, semantics)
+
+    @property
+    def features(self) -> np.ndarray:
+        return _interpolate(self.gamma, self.train_features, self.source_rows)
+
+    @property
+    def semantics(self) -> np.ndarray:
+        return _interpolate(self.gamma, self.support_semantics, self.support_rows)
 
 
 def _round_half_away(x: float) -> int:
@@ -110,8 +128,9 @@ def synthesize_hard_seen(
     its two endpoints from two distinct support classes and a single mixing
     weight gamma ~ U(0,1) shared by the feature and semantic interpolation,
     so every row lies on one recorded segment.  Deterministic given ``seed``
-    (each hard class owns an index-derived substream).  Rows are interpolated
-    straight from the float32 training rows (:func:`_interpolate`).
+    (each hard class owns an index-derived substream).  Returns the recipe:
+    the rows are interpolated from the float32 training rows, which it
+    references, only where they are written (:meth:`SynthSet.interpolate_into`).
     """
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
@@ -137,33 +156,35 @@ def synthesize_hard_seen(
             i_cls, j_cls = rng.choice(len(support), size=2, replace=False)
             pair = (support[i_cls], support[j_cls])
             class_pairs.append(pair)
-            row_pairs.append([int(rng.choice(rows_by_class[cls])) for cls in pair])
+            # rng.choice(rows)'s value and stream state, without its per-call overhead
+            ends = [rows_by_class[cls] for cls in pair]
+            row_pairs.append([int(rows[rng.integers(rows.size)]) for rows in ends])
             gammas.append(float(rng.uniform(0.0, 1.0)))
-    gamma = np.array(gammas, dtype=np.float64)
-    source_rows = np.array(row_pairs, dtype=np.intp).reshape(-1, 2)
-    source_classes = np.array(class_pairs, dtype=str).reshape(-1, 2)
     support = list(rows_by_class)
     at = {cls: k for k, cls in enumerate(support)}
-    class_rows = np.array([[at[a], at[b]] for a, b in class_pairs], dtype=np.intp).reshape(-1, 2)
-    sem_table = semantics.matrix(support) if support else np.empty((0, semantics.dim))
     return SynthSet(
-        features=_interpolate(gamma, train.features, source_rows),
-        semantics=_interpolate(gamma, sem_table, class_rows),
-        gamma=gamma,
-        source_rows=source_rows,
-        source_classes=source_classes,
+        gamma=np.array(gammas, dtype=np.float64),
+        source_rows=np.array(row_pairs, dtype=np.intp).reshape(-1, 2),
+        source_classes=np.array(class_pairs, dtype=str).reshape(-1, 2),
+        train_features=train.features,
+        support_semantics=semantics.matrix(support) if support else np.empty((0, semantics.dim)),
+        support_rows=np.array([[at[a], at[b]] for a, b in class_pairs], np.intp).reshape(-1, 2),
     )
 
 
 _INTERP_ELEMENTS = 1 << 17  # per block of rows that _interpolate gathers (1 MiB in float64)
 
 
-def _interpolate(gamma: np.ndarray, table: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+def _interpolate(
+    gamma: np.ndarray, table: np.ndarray, pairs: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Float64 ``gamma * table[pairs[:, 0]] + (1 - gamma) * table[pairs[:, 1]]``,
-    bit for bit that form on ``table`` widened to float64.  The endpoints are
-    gathered a row block at a time in ``table``'s dtype and widened (exactly)
-    inside each product: no (n, 2, dim) float64 gather is held."""
-    out = np.empty((pairs.shape[0], table.shape[1]))
+    bit for bit that form on ``table`` widened to float64, written into
+    ``out`` (a new array by default).  The endpoints are gathered a row block
+    at a time in ``table``'s dtype and widened (exactly) inside each product:
+    no (n, 2, dim) float64 gather is held."""
+    if out is None:
+        out = np.empty((pairs.shape[0], table.shape[1]))
     step = max(1, _INTERP_ELEMENTS // table.shape[1])
     for start in range(0, out.shape[0], step):
         block = slice(start, start + step)
@@ -203,8 +224,8 @@ def fit_hard_generator(
     generator on the seen rows plus their interpolated virtual classes.
 
     Reads only ``hard_count``, ``alpha``, ``support_count``, ``seed`` and
-    ``ridge`` of the config.  The virtual rows are dropped once the
-    generator is fit.
+    ``ridge`` of the config.  The virtual rows are held once, in the
+    generator fit's design and targets, and dropped once it is fit.
     """
     bundle = _stage("validate", validate_bundle, bundle)
     require_hard_count_within(config, bundle.split)

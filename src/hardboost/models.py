@@ -315,10 +315,12 @@ def fit_generator(
     of ``extra``, label) pairs, merged into ``train``'s cached statistics as
     :func:`_class_means` merges them, so the fit is bit for bit the fit on
     one table holding both.  Synthesized rows, which carry continuous
-    interpolated semantic vectors, group by the exact bytes of their semantic
-    vector (:func:`_byte_groups`), in order of their first row -- typically
-    singleton groups that shape the map without contributing scatter, each
-    written once into the one design and target array.  The shared
+    interpolated semantic vectors, are interpolated straight into the tails
+    of the one design and target array, then group by the exact bytes of
+    their semantic vector (:func:`_byte_groups`), in order of their first row
+    -- typically singleton groups that shape the map without contributing
+    scatter.  Each group is compacted in place to one row, and the solve
+    reads the arrays' leading rows, C-contiguous as before.  The shared
     covariance is the within-group variance pooled over all rows with a
     degrees-of-freedom correction, floored at ``COVARIANCE_FLOOR``.
 
@@ -337,34 +339,33 @@ def fit_generator(
         sq_dev += scatter
     n_rows = int(counts.sum())
     classes = set(labels)
-    groups: list[list[int]] = []
-    if synth is not None and len(synth) > 0:
-        if synth.semantics.shape[1] != semantics.dim:
-            raise ValueError(
-                f"synthesized semantic dimension {synth.semantics.shape[1]} "
-                f"!= table dimension {semantics.dim}"
-            )
-        sem_rows = np.asarray(synth.semantics, dtype=np.float64)
-        feat_rows = np.asarray(synth.features, dtype=np.float64)
-        groups = _byte_groups(sem_rows)
-        n_rows += len(synth)
-        classes.update(synth.source_classes.ravel().tolist())
-
-    # real classes first, then one row per synthesized group
     n_real = sem.shape[0]
-    n_groups = n_real + len(groups)
-    design = np.empty((n_groups, semantics.dim))
-    targets = np.empty((n_groups, train.dim))
+    n_synth = 0 if synth is None else len(synth)
+    design = np.empty((n_real + n_synth, semantics.dim))
+    targets = np.empty((n_real + n_synth, train.dim))
     design[:n_real] = sem
     targets[:n_real] = means
-    for k, rows in enumerate(groups, n_real):
-        design[k] = sem_rows[rows[0]]
-        if len(rows) == 1:  # a singleton's mean is its row, and it adds no scatter
-            targets[k] = feat_rows[rows[0]]
-        else:
-            members = feat_rows[rows]
-            targets[k] = mean = members.mean(axis=0)
-            sq_dev += ((members - mean) ** 2).sum(axis=0)
+    groups: list[list[int]] = []
+    if n_synth:
+        sem_rows, feat_rows = design[n_real:], targets[n_real:]
+        synth.interpolate_into(feat_rows, sem_rows)
+        groups = _byte_groups(sem_rows)
+        n_rows += n_synth
+        classes.update(synth.source_classes.ravel().tolist())
+        # group k moves to row k: groups come in order of their first row, so
+        # group k's rows all sit at or after row k, and a write to row k
+        # overwrites only a row of a group already moved
+        for k, rows in enumerate(groups):
+            sem_rows[k] = sem_rows[rows[0]]
+            if len(rows) == 1:  # a singleton's mean is its row, and it adds no scatter
+                feat_rows[k] = feat_rows[rows[0]]
+            else:
+                members = feat_rows[rows]
+                feat_rows[k] = mean = members.mean(axis=0)
+                sq_dev += ((members - mean) ** 2).sum(axis=0)
+    # real classes first, then one row per synthesized group
+    n_groups = n_real + len(groups)
+    design, targets = design[:n_groups], targets[:n_groups]
     coeff = _ridge_solve(design, targets, ridge, min(n_groups, len(classes)))
     dof = max(n_rows - n_groups, 1)
     covariance = np.maximum(sq_dev / dof, COVARIANCE_FLOOR)

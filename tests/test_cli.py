@@ -7,6 +7,7 @@ import threading
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,7 +17,7 @@ from hardboost import hars as hars_module
 from hardboost import models
 from hardboost.cli import dispatch, load_predictions
 from hardboost.config import RunConfig, load_run_config, parse_run_config, require_frequency_metric
-from hardboost.data import ConfigError, load_bundle
+from hardboost.data import ConfigError, load_bundle, load_feature_table, write_feature_table
 from hardboost.hars import PipelineError, run_hars
 from hardboost.harst import run_harst
 from hardboost.models import ClassifierConfig, fit_classifier
@@ -280,6 +281,62 @@ class TestPipelines:
             ) == 0
         for name in ("predictions.csv", "trace.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+class TestTestSeenTable:
+    """``test_seen.zsf`` is optional and no command reads it; a malformed one
+    still fails at load, with the error that names it."""
+
+    @staticmethod
+    def run(command, data, tmp_path, out):
+        cfg = write_config(tmp_path / "cfg.json", T=2, metric="cf", base_model="embedding")
+        return dispatch([command, "--data", str(data), "--config", str(cfg), "--out", str(out)])
+
+    @pytest.mark.parametrize("command", ["hars", "harst"])
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("unseen label", "test_seen row 3 labeled 'u00', not a seen class"),
+            ("non-finite row", "test_seen.zsf: non-finite feature value in row 3"),
+        ],
+    )
+    def test_a_malformed_table_is_rejected(
+        self, command, fault, message, data_dir, tmp_path, capsys
+    ):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        path = data / "test_seen.zsf"
+        table = load_feature_table(path)
+        if fault == "unseen label":
+            labels = list(table.labels)
+            labels[3] = "u00"
+            write_feature_table(replace(table, labels=tuple(labels)), path)
+        else:  # float32 row 3 starts after the 20-byte header
+            raw = bytearray(path.read_bytes())
+            at = 20 + 3 * table.dim * 4
+            raw[at : at + 4] = np.float32(np.inf).tobytes()
+            path.write_bytes(bytes(raw))
+        out = tmp_path / "run"
+        assert self.run(command, data, tmp_path, out) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["hars", "harst"])
+    def test_a_bundle_without_the_table_runs_to_the_same_bytes(
+        self, command, data_dir, tmp_path
+    ):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        (data / "test_seen.zsf").unlink()
+        assert self.run(command, data_dir, tmp_path, tmp_path / "with") == 0
+        assert self.run(command, data, tmp_path, tmp_path / "without") == 0
+        # the manifest records the inputs' digests; every other file must match
+        names = sorted(p.name for p in (tmp_path / "with").iterdir() if p.name != "manifest.json")
+        assert "predictions.csv" in names
+        for name in names:
+            assert (tmp_path / "with" / name).read_bytes() == (
+                tmp_path / "without" / name
+            ).read_bytes()
 
 
 class TestEvalAndAnalyze:

@@ -9,10 +9,11 @@ from test_harst import relabel
 from hardboost import hars as hars_module
 from hardboost.benchmark import BenchmarkSpec, make_benchmark, standard_benchmark_spec
 from hardboost.config import RunConfig
-from hardboost.data import ClassSplit, FeatureTable, SemanticTable
+from hardboost.data import ClassSplit, DatasetBundle, FeatureTable, SemanticTable
 from hardboost.hars import (
     PipelineError,
     SynthSet,
+    fit_hard_generator,
     run_generative_baseline,
     run_hars,
     support_seen_classes,
@@ -170,6 +171,30 @@ class TestSynthesizeHardSeen:
         direct = g * sems[:, 0] + (1.0 - g) * sems[:, 1]
         assert synth.semantics.tobytes() == direct.tobytes()
 
+    def test_virtual_rows_are_held_once_through_the_generator_fit(self):
+        # the 150-seen, 512-d shape above with a 312-d semantic table and 10
+        # unseen classes, all hard: 2400 virtual rows and 150 real groups
+        rng = np.random.default_rng(3)
+        seen = [f"s{i:03d}" for i in range(150)]
+        unseen = [f"u{i}" for i in range(10)]
+        sem = SemanticTable(vectors={c: rng.normal(size=312) for c in seen + unseen})
+        bundle = DatasetBundle(
+            train_seen=FeatureTable(features=rng.normal(size=(9000, 512)).astype(np.float32),
+                                    labels=tuple(seen[i % 150] for i in range(9000))),
+            test_unseen=FeatureTable(features=rng.normal(size=(10, 512)).astype(np.float32),
+                                     labels=tuple(unseen)),
+            semantics=sem,
+            split=ClassSplit(seen=frozenset(seen), unseen=frozenset(unseen)),
+        )
+        tracemalloc.start()
+        try:
+            fit_hard_generator(bundle, RunConfig(hard_count=10, alpha=2.0, seed=4))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        design_and_targets = (150 + 2400) * (312 + 512) * 8
+        assert peak < 1.5 * design_and_targets
+
     def test_one_support_class_cannot_interpolate(self):
         train, sem, split = small_world()
         with pytest.raises(ValueError, match="needs at least two support classes, got 1"):
@@ -281,12 +306,25 @@ class TestRunHars:
 def test_synth_set_field_lengths_checked():
     with pytest.raises(ValueError, match="row count"):
         SynthSet(
-            features=np.zeros((2, 3)),
-            semantics=np.zeros((2, 2)),
             gamma=np.zeros(2),
             source_rows=np.zeros((1, 2), dtype=np.intp),
             source_classes=np.array([["a", "b"], ["a", "b"]]),
+            train_features=np.zeros((2, 3)),
+            support_semantics=np.zeros((2, 2)),
+            support_rows=np.zeros((2, 2), dtype=np.intp),
         )
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 5000))
+def test_endpoint_draw_is_choice_from_the_same_stream(seed, size):
+    """``synthesize_hard_seen`` draws an endpoint as ``rows[rng.integers(rows.size)]``:
+    the value ``rng.choice(rows)`` draws, leaving the generator in the state
+    ``choice`` leaves it."""
+    rows = np.arange(size, dtype=np.intp) * 3 + 1
+    by_choice, by_index = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert int(rows[by_index.integers(rows.size)]) == int(by_choice.choice(rows))
+    assert by_index.uniform() == by_choice.uniform()
 
 
 @settings(max_examples=10, deadline=None)

@@ -343,13 +343,18 @@ class TestFitGenerator:
         vecs[9:] = vecs[0]
         vecs[9, 1], vecs[10, 1] = 0.0, -0.0
         picks = [10, 4, 9, 8, 10, 2, 9, 4, 0, 7, 8, 10, 5, 1, 9, 3, 6, 4, 2, 10]
+        # gamma 1 with both endpoints on one row reproduces that row, -0.0 too
+        feats = rng.normal(size=(20, 6))
         synth = SynthSet(
-            features=rng.normal(size=(20, 6)),
-            semantics=vecs[picks],
-            gamma=np.zeros(20),
-            source_rows=np.zeros((20, 2), dtype=np.intp),
+            gamma=np.ones(20),
+            source_rows=np.repeat(np.arange(20)[:, None], 2, axis=1),
             source_classes=np.array([["s0", "s1"]] * 20),
+            train_features=feats,
+            support_semantics=vecs,
+            support_rows=np.repeat(np.array(picks)[:, None], 2, axis=1),
         )
+        assert synth.features.tobytes() == feats.tobytes()
+        assert synth.semantics.tobytes() == vecs[picks].tobytes()
         groups = {}
         for i, vec in enumerate(synth.semantics):
             groups.setdefault(vec.tobytes(), []).append(i)
@@ -384,11 +389,12 @@ class TestFitGenerator:
         train = table(rng.normal(size=(40, 256)), [f"s{i % 4}" for i in range(40)])
         sem = SemanticTable(vectors={f"s{i}": rng.normal(size=64) for i in range(4)})
         synth = SynthSet(
-            features=rng.normal(size=(2400, 256)),
-            semantics=rng.normal(size=(2400, 64)),
-            gamma=np.zeros(2400),
-            source_rows=np.zeros((2400, 2), dtype=np.intp),
+            gamma=np.ones(2400),
+            source_rows=np.repeat(np.arange(2400)[:, None], 2, axis=1),
             source_classes=np.array([["s0", "s1"]] * 2400),
+            train_features=rng.normal(size=(2400, 256)),
+            support_semantics=rng.normal(size=(2400, 64)),
+            support_rows=np.repeat(np.arange(2400)[:, None], 2, axis=1),
         )
         fit_generator(train, sem, 0.1)  # caches the class statistics
         tracemalloc.start()
