@@ -32,6 +32,7 @@ from .data import (
     SemanticTable,
     validate_bundle,
 )
+from .models import draw_class_rows
 from .rng import substream
 
 # angle between a pair's two seen anchors, inside their span
@@ -164,7 +165,15 @@ def make_benchmark(
     spec: BenchmarkSpec,
 ) -> tuple[DatasetBundle, list[str], np.ndarray]:
     """Generate a validated bundle, the planted hard-class ids, and the
-    generating semantic-to-visual map."""
+    generating semantic-to-visual map.
+
+    Class ``idx`` of each table draws its rows, ``w0 @ proto + noise_scale
+    * z`` in float64 cast to float32, from ``substream(seed, table, idx)``.
+    The three tables are drawn in one
+    :func:`~hardboost.models.draw_class_rows` call, so a CUB-sized build
+    draws on every available CPU and a desk-sized one on this thread alone,
+    with the same bytes.
+    """
     protos, planted = _build_prototypes(spec)
     rotation = _rotation(substream(spec.seed, "rotation"), spec.semantic_dim)
     protos = {cls: vec @ rotation.T for cls, vec in protos.items()}
@@ -178,21 +187,6 @@ def make_benchmark(
     unseen = unseen_class_ids(spec)
     split = ClassSplit(seen=frozenset(seen), unseen=frozenset(unseen))
 
-    def table(class_ids, counts, stream_name) -> FeatureTable:
-        # Each class's float64 draw is scaled and shifted in place (bit for
-        # bit ``mean + noise * draw``) and cast straight into its rows of the
-        # float32 table, so no float64 copy of the whole table is ever held.
-        feats = np.empty((sum(counts[cls] for cls in class_ids), spec.visual_dim), np.float32)
-        labels = []
-        for idx, cls in enumerate(class_ids):
-            count = counts[cls]
-            draw = substream(spec.seed, stream_name, idx).standard_normal((count, spec.visual_dim))
-            draw *= spec.noise_scale
-            draw += w0 @ protos[cls]
-            feats[len(labels) : len(labels) + count] = draw
-            labels.extend([cls] * count)
-        return FeatureTable(features=feats, labels=tuple(labels))
-
     unseen_counts = {cls: spec.n_per_class for cls in unseen}
     if spec.unseen_counts:
         unknown = sorted(set(spec.unseen_counts) - set(unseen))
@@ -203,9 +197,29 @@ def make_benchmark(
                 raise ValueError(f"unseen_counts[{cls!r}] must be >= 1")
             unseen_counts[cls] = int(count)
 
-    train_seen = table(seen, {cls: spec.n_per_class for cls in seen}, "train-seen")
-    test_unseen = table(unseen, unseen_counts, "test-unseen")
-    test_seen = table(seen, {cls: spec.n_per_class for cls in seen}, "test-seen")
+    seen_counts = {cls: spec.n_per_class for cls in seen}
+    tables, rows, classes = [], [], []  # classes[i]: (stream name, index, class id)
+    for class_ids, counts, stream_name in (
+        (seen, seen_counts, "train-seen"),
+        (unseen, unseen_counts, "test-unseen"),
+        (seen, seen_counts, "test-seen"),
+    ):
+        feats = np.empty((sum(counts[cls] for cls in class_ids), spec.visual_dim), np.float32)
+        labels = []
+        for idx, cls in enumerate(class_ids):
+            rows.append(feats[len(labels) : len(labels) + counts[cls]])
+            classes.append((stream_name, idx, cls))
+            labels.extend([cls] * counts[cls])
+        tables.append((feats, tuple(labels)))
+
+    def derive(i: int) -> tuple[np.random.Generator, np.ndarray]:
+        stream_name, idx, cls = classes[i]
+        return substream(spec.seed, stream_name, idx), w0 @ protos[cls]
+
+    draw_class_rows(rows, derive, spec.noise_scale)
+    train_seen, test_unseen, test_seen = (
+        FeatureTable(features=feats, labels=labels) for feats, labels in tables
+    )
 
     total = sum(unseen_counts.values())
     priors = {cls: unseen_counts[cls] / total for cls in unseen}

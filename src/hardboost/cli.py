@@ -420,7 +420,7 @@ def _init_worker(fn) -> None:
     """Set up a forked sweep worker to run points with ``fn``.
 
     The pool already runs one worker per CPU, so the worker's classifier
-    fits run on one thread each.
+    fits and per-class draws run on one thread each.
     """
     global _point_fn
     _point_fn = fn
@@ -441,10 +441,10 @@ def _cmd_sweep(args) -> int:
     or the whole ``harst`` run) runs on one forked worker per available CPU,
     at most one per point.  The workers inherit the bundle and the fitted
     generators, and only a point index goes out and ``(acc_u, error)`` comes
-    back.  A worker's classifier fits run on one thread each.  With one
-    worker, or off Linux, the points run in this process, and a large fit
-    there uses every available CPU.  The bytes do not depend on the worker
-    count.  On a multi-core machine, set ``OPENBLAS_NUM_THREADS=1`` so that
+    back.  A worker's classifier fits and per-class draws run on one thread
+    each.  With one worker, or off Linux, the points run in this process,
+    and a large fit there uses every available CPU.  The bytes do not depend
+    on the worker count.  On a multi-core machine, set ``OPENBLAS_NUM_THREADS=1`` so that
     the workers' BLAS threads do not oversubscribe the CPUs.
     """
     started = time.monotonic()

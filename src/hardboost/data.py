@@ -24,6 +24,8 @@ import math
 import os
 import struct
 import tempfile
+import threading
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -358,26 +360,37 @@ def load_feature_table(path, fmt: str = "binary") -> FeatureTable:
 
 
 def write_feature_table(table: FeatureTable, path, fmt: str = "binary") -> None:
-    for row, label in enumerate(table.labels):
-        try:
-            label.encode("utf-8")
-        except UnicodeEncodeError:
-            raise DataError(f"row {row}: label is not encodable as UTF-8") from None
     if fmt == "binary":
         atomic_write_bytes(path, *_feature_binary_chunks(table))
     elif fmt == "csv":
+        _label_block(table.labels)  # names the first label that is not UTF-8
         atomic_write_text(path, _feature_csv_text(table))
     else:
         raise ValueError(f"unknown feature format {fmt!r}")
 
 
+def _label_block(labels) -> bytes:
+    """The labels joined by newlines, UTF-8 encoded; a label that cannot be
+    encoded is a ``DataError`` naming its row."""
+    try:
+        return "\n".join(labels).encode("utf-8")
+    except UnicodeEncodeError:
+        pass
+    # the newlines encode, so some label does not: name the first
+    for row, label in enumerate(labels):
+        try:
+            label.encode("utf-8")
+        except UnicodeEncodeError:
+            raise DataError(f"row {row}: label is not encodable as UTF-8") from None
+
+
 def _feature_binary_chunks(table: FeatureTable) -> tuple:
     """The binary file's pieces in order; the feature block is the table's
     own buffer (float32 tables are C-contiguous), not a copy of it."""
-    for row, label in enumerate(table.labels):
-        if "\n" in label:
-            raise DataError(f"row {row}: label contains a newline, not serializable")
-    label_block = "\n".join(table.labels).encode("utf-8") if table.n else b""
+    label_block = _label_block(table.labels)
+    if label_block.count(b"\n") != max(table.n - 1, 0):
+        row = next(row for row, label in enumerate(table.labels) if "\n" in label)
+        raise DataError(f"row {row}: label contains a newline, not serializable")
     header = _MAGIC + struct.pack("<IQI", _BINARY_VERSION, table.n, table.dim)
     body = np.ascontiguousarray(table.features, dtype="<f4")
     return header, body, struct.pack("<I", len(label_block)), label_block
@@ -503,13 +516,16 @@ def load_semantic_table(path) -> SemanticTable:
 
 
 def write_semantic_table(table: SemanticTable, path) -> None:
-    lines = []
+    atomic_write_text(path, "".join(_semantic_lines(table)))
+
+
+def _semantic_lines(table: SemanticTable):
+    """The semantic file's lines in class order, each with its newline."""
     for cls in sorted(table.vectors):
         # repr of a Python float is the text str gives the numpy scalar, but
         # faster to reach
         values = ",".join(map(repr, table.vectors[cls].tolist()))
-        lines.append(f"{cls},{values}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        yield f"{cls},{values}\n"
 
 
 def load_json(path):
@@ -595,14 +611,49 @@ def load_bundle(directory) -> DatasetBundle:
     return validate_bundle(bundle)
 
 
+_HELPER_WRITE_VALUES = 1 << 18  # feature values below which no thread starts
+
+
 def write_bundle(bundle: DatasetBundle, directory) -> None:
+    """Write ``bundle``'s files, each atomically, as :func:`load_bundle` reads them.
+
+    Above ``_HELPER_WRITE_VALUES`` feature values, a helper thread writes
+    the ``.zsf`` files while this thread formats ``semantics.csv``.  A
+    helper's error is raised here before any later file is written, and the
+    bytes do not depend on the CPU count.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    write_feature_table(bundle.train_seen, directory / _BUNDLE_FILES["train_seen"])
-    write_feature_table(bundle.test_unseen, directory / _BUNDLE_FILES["test_unseen"])
+    tables = [(bundle.train_seen, "train_seen"), (bundle.test_unseen, "test_unseen")]
     if bundle.test_seen is not None:
-        write_feature_table(bundle.test_seen, directory / _BUNDLE_FILES["test_seen"])
-    write_semantic_table(bundle.semantics, directory / _BUNDLE_FILES["semantics"])
+        tables.append((bundle.test_seen, "test_seen"))
+    errors = []
+
+    def write_tables() -> None:
+        try:
+            for table, key in tables:
+                write_feature_table(table, directory / _BUNDLE_FILES[key])
+        except BaseException as exc:
+            errors.append(exc)
+
+    lines = []
+    if sum(table.features.size for table, _ in tables) < _HELPER_WRITE_VALUES:
+        write_tables()
+        lines.extend(_semantic_lines(bundle.semantics))
+    else:
+        helper = threading.Thread(target=write_tables, name="write-bundle")
+        helper.start()
+        try:
+            for line in _semantic_lines(bundle.semantics):
+                lines.append(line)
+                # let the helper back in as soon as a write of its returns,
+                # not after the interpreter's 5 ms switch interval
+                time.sleep(0)
+        finally:
+            helper.join()
+    if errors:
+        raise errors[0]
+    atomic_write_text(directory / _BUNDLE_FILES["semantics"], "".join(lines))
     write_split(bundle.split, directory / _BUNDLE_FILES["split"])
     if bundle.class_priors is not None:
         write_priors(bundle.class_priors, directory / _BUNDLE_FILES["priors"])

@@ -41,15 +41,24 @@ _MAX_RESTARTS = 10
 
 def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
     """1 - cosine similarity, in [0, 2]."""
+    return cosine_distances(a, [b])[0]
+
+
+def cosine_distances(a: np.ndarray, others) -> list[float]:
+    """:func:`cosine_distance` from ``a`` to each vector of ``others``, in
+    their order, with each vector's norm computed once."""
     a = np.asarray(a, dtype=np.float64).reshape(-1)
-    b = np.asarray(b, dtype=np.float64).reshape(-1)
-    if a.size != b.size:
-        raise ValueError(f"dimension mismatch: {a.size} vs {b.size}")
     na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine distance undefined for a zero vector")
-    return float(1.0 - np.dot(a, b) / (na * nb))
+    distances = []
+    for b in others:
+        b = np.asarray(b, dtype=np.float64).reshape(-1)
+        if a.size != b.size:
+            raise ValueError(f"dimension mismatch: {a.size} vs {b.size}")
+        nb = np.linalg.norm(b)
+        if na == 0.0 or nb == 0.0:
+            raise ValueError("cosine distance undefined for a zero vector")
+        distances.append(float(1.0 - np.dot(a, b) / (na * nb)))
+    return distances
 
 
 def _unit_rows(matrix: np.ndarray, class_ids) -> np.ndarray:

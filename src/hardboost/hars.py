@@ -27,7 +27,7 @@ from .data import (
     validate_bundle,
 )
 from .evaluation import EvalReport, evaluate_if_labeled
-from .hardness import HardnessReport, cosine_distance, ss_scores
+from .hardness import HardnessReport, cosine_distances, ss_scores
 from .models import (
     GenerativeModel,
     fit_classifier,
@@ -107,9 +107,8 @@ def support_seen_classes(
     seen = sorted(split.seen)
     if count > len(seen):
         raise ValueError(f"requested {count} support classes, only {len(seen)} seen")
-    target = semantics[hard_class]
-    ranked = sorted(seen, key=lambda cls: (cosine_distance(target, semantics[cls]), cls))
-    return ranked[:count]
+    distances = cosine_distances(semantics[hard_class], [semantics[cls] for cls in seen])
+    return [cls for _, cls in sorted(zip(distances, seen))[:count]]
 
 
 def synthesize_hard_seen(

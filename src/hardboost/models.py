@@ -9,7 +9,9 @@ and therefore exactly reproducible.
   (:func:`fit_embedding_means`), and classifies by nearest mapped prototype
   (:func:`nearest_rows`).
 * ``GenerativeModel`` maps a semantic vector to a class mean and samples
-  around it with a shared diagonal covariance.
+  around it with a shared diagonal covariance.  Each class draws from its
+  own generator, so a large draw shares its classes among the available
+  CPUs with the same bytes (:func:`draw_class_rows`).
 * ``Classifier`` is multinomial logistic regression trained by full-batch
   (optionally mini-batch) gradient descent.  A fit trains in float32: it
   casts the features once, and its parameters, buffers and updates are
@@ -392,17 +394,85 @@ def sample_per_class(
     """Draw ``counts[cls]`` rows per class, classes in the dict's order.
 
     Class ``i`` of ``counts`` draws from ``child_seed(seed, *stream, i)``, so
-    each class owns a substream.  Returns the rows, float32 as the classifier
-    trains, and one label per row: each class is drawn in float64 and cast
-    straight into its rows, so no float64 copy of all the rows is held.
+    each class owns a substream, and its rows are bit for bit those of
+    :func:`sample_generator` cast to float32, as the classifier trains.
+    Returns the rows and one label per row.  A large draw runs on every
+    available CPU (:func:`draw_class_rows`), with the same bytes.
     """
+    if any(n < 0 for n in counts.values()):
+        raise ValueError("sample count must be >= 0")
     feats = np.empty((sum(counts.values()), model.coeff.shape[0]), dtype=np.float32)
-    labels: list[str] = []
-    for i, (cls, n) in enumerate(counts.items()):
-        draw = sample_generator(model, semantics[cls], n, child_seed(seed, *stream, i))
-        feats[len(labels) : len(labels) + n] = draw
+    rows, labels = [], []
+    for cls, n in counts.items():
+        rows.append(feats[len(labels) : len(labels) + n])
         labels.extend([cls] * n)
+    classes = list(counts)
+
+    def derive(i: int) -> tuple[np.random.Generator, np.ndarray]:
+        rng = np.random.default_rng(child_seed(seed, *stream, i))
+        return rng, model.class_mean(semantics[classes[i]])
+
+    draw_class_rows(rows, derive, np.sqrt(model.covariance))
     return feats, labels
+
+
+# A call that draws fewer values than this (a few ms of work) runs on the
+# calling thread alone: a desk-sized build or run starts no thread.
+_DRAW_VALUES = 1 << 18
+
+
+def draw_class_rows(rows, derive, scale) -> None:
+    """Fill each float32 ``rows[i]`` with ``mean + rng.standard_normal(
+    rows[i].shape) * scale``, computed in float64 and cast, where ``(rng,
+    mean) = derive(i)``.
+
+    ``derive`` runs on the calling thread, in class order.  A call that
+    draws at least ``_DRAW_VALUES`` values, outside a sweep worker, shares
+    its classes among one thread per available CPU while this thread derives
+    the next ones.  Each class owns its generator and its rows, so the bytes
+    do not depend on the thread count.  Each thread draws into one float64
+    buffer of the largest class's size, allocated here, and at most a few
+    classes are derived ahead of the draws.  A helper's error is raised here.
+    """
+    count = 1
+    if not _one_thread_per_fit and sum(r.size for r in rows) >= _DRAW_VALUES:
+        count = min(available_cpus(), len(rows))
+    shape = (max((len(r) for r in rows), default=0), rows[0].shape[1] if rows else 0)
+    bufs = [np.empty(shape) for _ in range(count)]
+    todo = queue.SimpleQueue()  # (class, generator, mean); None stops a helper
+
+    def draw(i: int, rng: np.random.Generator, mean: np.ndarray, buf: np.ndarray) -> None:
+        z = buf[: len(rows[i])]
+        rng.standard_normal(out=z)
+        z *= scale
+        z += mean
+        rows[i][...] = z
+
+    def helper(buf: np.ndarray) -> None:
+        while (job := todo.get()) is not None:
+            draw(*job, buf)
+
+    def draw_queued(most: int) -> None:  # on the calling thread
+        for _ in range(most):
+            try:
+                job = todo.get_nowait()
+            except queue.Empty:
+                return
+            draw(*job, bufs[0])
+
+    with _threads(count) as threads:
+        helpers = [threads.pool.submit(helper, buf) for buf in bufs[1:]]
+        try:
+            for i in range(len(rows)):
+                todo.put((i, *derive(i)))
+                if todo.qsize() >= count:  # enough derived to keep every thread busy
+                    draw_queued(1)
+            draw_queued(len(rows))
+        finally:
+            for _ in helpers:
+                todo.put(None)
+    for future in helpers:
+        future.result()
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +522,8 @@ _BLOCK_MADDS = 1 << 22
 _MAX_BLOCKS = 8
 
 # Set in a sweep's worker processes, whose pool already runs one process per
-# CPU: their fits then compute every block on the calling thread.
+# CPU: their fits then compute every block, and their per-class draws
+# (draw_class_rows) every class, on the calling thread.
 _one_thread_per_fit = False
 
 
@@ -505,6 +576,21 @@ def _drain(fn, todo: queue.SimpleQueue) -> None:
         except queue.Empty:
             return
         fn(start, stop)
+
+
+@contextlib.contextmanager
+def _threads(count: int):
+    """A :class:`_Threads` of ``count`` threads, whose helper pool is shut
+    down, joining them, when the block exits."""
+    if count < 2:
+        yield _Threads()
+        return
+    # imported here: concurrent.futures loads logging, 0.6 MiB that a run
+    # that never splits its work never needs
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(count - 1) as pool:
+        yield _Threads(pool, count)
 
 
 def _probs_into(
@@ -639,14 +725,6 @@ def fit_classifier(
     rng = np.random.default_rng(config.seed)
     history = []
     count = 1 if _one_thread_per_fit else min(available_cpus(), len(_blocks(n, 8, v * c)))
-    pool = None
-    if count > 1:
-        # imported here: concurrent.futures loads logging, 0.6 MiB that a
-        # run without a split fit never needs
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(count - 1)
-    threads = _Threads(pool, count)
 
     def full_loss() -> float:
         probs = _probs_into(weights, bias, feats, buf, buf_t, threads)
@@ -661,7 +739,7 @@ def fit_classifier(
         bias -= gb
         return loss
 
-    with pool or contextlib.nullcontext():
+    with _threads(count) as threads:
         for epoch in range(config.epochs):
             if config.batch_size is None or config.batch_size >= n:
                 history.append(step(feats, picks))

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from hardboost import models
 from hardboost.benchmark import make_benchmark, standard_benchmark_spec
 from hardboost.cli import dispatch
 
@@ -22,6 +23,19 @@ def available_cpus(monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
     return set_count
+
+
+@pytest.fixture()
+def thread_counts(monkeypatch):
+    """The thread count of each pool ``models._threads`` sets up, in call order."""
+    counts = []
+
+    def threads(count, _threads=models._threads):
+        counts.append(count)
+        return _threads(count)
+
+    monkeypatch.setattr(models, "_threads", threads)
+    return counts
 
 
 @pytest.fixture()

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hardboost import models
 from hardboost.benchmark import (
     BenchmarkSpec,
     make_benchmark,
@@ -11,6 +12,7 @@ from hardboost.benchmark import (
     unseen_class_ids,
 )
 from hardboost.hardness import rank_hard, ss_scores
+from hardboost.rng import substream
 
 
 def random_valid_spec(rng) -> BenchmarkSpec:
@@ -92,6 +94,33 @@ class TestConstruction:
             tracemalloc.stop()
         tables = (bundle.train_seen, bundle.test_unseen, bundle.test_seen)
         assert peak < 1.5 * sum(t.features.nbytes for t in tables)
+
+    def test_large_builds_do_not_depend_on_the_thread_count(
+        self, available_cpus, thread_counts, monkeypatch
+    ):
+        spec = BenchmarkSpec(
+            seen_count=20, unseen_count=10, semantic_dim=32, visual_dim=512, n_per_class=30,
+            hard_pairs=2, affinity_gap=0.2, noise_scale=0.1, seed=5,
+        )
+        assert (2 * spec.seen_count + spec.unseen_count) * spec.n_per_class * spec.visual_dim >= (
+            models._DRAW_VALUES
+        )
+        builds = []
+        for cpus, sweep_worker in ((1, False), (2, False), (2, True)):
+            available_cpus(cpus)
+            monkeypatch.setattr(models, "_one_thread_per_fit", sweep_worker)
+            bundle, _, w0 = make_benchmark(spec)
+            tables = (bundle.train_seen, bundle.test_unseen, bundle.test_seen)
+            builds.append([(t.features.tobytes(), t.labels) for t in tables])
+        # one draw per build: the calling thread and one helper, or no split
+        assert thread_counts == [1, 2, 1]
+        assert builds[0] == builds[1] == builds[2]
+        # class idx of a table is noise_scale * z + w0 @ proto from its own substream
+        for table, name in ((bundle.train_seen, "train-seen"), (bundle.test_unseen, "test-unseen")):
+            for idx, cls in enumerate(sorted(set(table.labels))):
+                z = substream(spec.seed, name, idx).standard_normal((spec.n_per_class, spec.visual_dim))
+                expected = (z * spec.noise_scale + w0 @ bundle.semantics[cls]).astype(np.float32)
+                assert table.features[table.rows_for(cls)].tobytes() == expected.tobytes()
 
     def test_priors_match_proportions(self):
         spec = standard_benchmark_spec(seed=0)

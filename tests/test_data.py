@@ -1,5 +1,7 @@
+import dataclasses
 import re
 import struct
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -351,6 +353,53 @@ def test_bundle_directory_round_trip(tmp_path, standard_benchmark):
     assert set(loaded.class_priors) == bundle.split.unseen
     for cls, vec in bundle.semantics.vectors.items():
         np.testing.assert_allclose(loaded.semantics[cls], vec, atol=1e-15)
+
+
+def test_bundle_files_do_not_depend_on_the_helper_thread(tmp_path, standard_benchmark, monkeypatch):
+    bundle, _, _ = standard_benchmark
+    for gate, name in ((0, "helper"), (1 << 62, "serial")):
+        monkeypatch.setattr(data_module, "_HELPER_WRITE_VALUES", gate)
+        write_bundle(bundle, tmp_path / name)
+    files = sorted(p.name for p in (tmp_path / "serial").iterdir())
+    assert files == sorted(p.name for p in (tmp_path / "helper").iterdir())
+    for name in files:
+        assert (tmp_path / "helper" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+
+
+def test_write_bundle_raises_the_helper_error_and_writes_nothing_after_it(
+    tmp_path, standard_benchmark, monkeypatch
+):
+    bundle, _, _ = standard_benchmark
+    labels = list(bundle.test_unseen.labels)
+    labels[3] = "\ud800"
+    bad = dataclasses.replace(
+        bundle, test_unseen=dataclasses.replace(bundle.test_unseen, labels=tuple(labels))
+    )
+    threads = []
+
+    def recording(table, path, fmt="binary", _write=data_module.write_feature_table):
+        threads.append(threading.current_thread())
+        _write(table, path, fmt)
+
+    monkeypatch.setattr(data_module, "write_feature_table", recording)
+    monkeypatch.setattr(data_module, "_HELPER_WRITE_VALUES", 0)
+    with pytest.raises(DataError, match="^row 3: label is not encodable as UTF-8$"):
+        write_bundle(bad, tmp_path)
+    assert len(threads) == 2 and threading.current_thread() not in threads
+    # train_seen.zsf came first; no temp file, no later table, no semantics.csv
+    assert [p.name for p in tmp_path.iterdir()] == ["train_seen.zsf"]
+
+
+def test_binary_writer_names_the_first_bad_label_row(tmp_path):
+    feats = np.ones((4, 1), dtype=np.float32)
+    table = FeatureTable(features=feats, labels=("a", "b\nc", "d", "\ud800"))
+    # the UTF-8 check runs first, as it did when each was a loop over rows
+    with pytest.raises(DataError, match="^row 3: label is not encodable as UTF-8$"):
+        write_feature_table(table, tmp_path / "t.zsf")
+    table = FeatureTable(features=feats, labels=("a", "b", "c\n", "d\n"))
+    with pytest.raises(DataError, match="^row 2: label contains a newline, not serializable$"):
+        write_feature_table(table, tmp_path / "t.zsf")
+    assert not list(tmp_path.iterdir())
 
 
 def test_writing_a_table_copies_none_of_its_features(tmp_path, rng):

@@ -9,6 +9,7 @@ from hardboost.data import ClassSplit, FeatureTable, SemanticTable
 from hardboost.hardness import (
     HardnessReport,
     cosine_distance,
+    cosine_distances,
     estimate_class_priors,
     normalize_by_prior,
     pseudo_label_histogram,
@@ -35,6 +36,18 @@ class TestCosineDistance:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             cosine_distance([1, 0, 0], [1, 0])
+
+    def test_many_at_once_keep_the_pairwise_bits(self):
+        rng = np.random.default_rng(6)
+        a, others = rng.normal(size=9), rng.normal(size=(6, 9))
+        # the formula as each pairwise call computed it, both norms per call
+        expected = [
+            float(1.0 - np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))) for b in others
+        ]
+        assert cosine_distances(a, others) == expected
+        assert [cosine_distance(a, b) for b in others] == expected
+        with pytest.raises(ValueError, match="zero"):
+            cosine_distances(a, [others[0], np.zeros(9)])
 
 
 def _table(vectors):

@@ -1,5 +1,6 @@
 import contextlib
 import math
+import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -24,10 +25,12 @@ from hardboost.models import (
     Classifier,
     ClassifierConfig,
     EmbeddingModel,
+    GenerativeModel,
     SingularFitError,
     _class_means,
     classify_embedding_batch,
     cross_entropy_and_grad,
+    draw_class_rows,
     fit_classifier,
     fit_embedding_means,
     fit_generator,
@@ -616,6 +619,84 @@ class TestSamplePerClass:
         )
         feats, labels = sample_per_class(model, sem, {"a": 0}, 1, "s")
         assert feats.shape == (0, 2) and labels == []
+
+    def test_one_class_draw_is_sample_generator_cast(self):
+        model, sem = self.model()
+        rows = np.empty((7, 2), dtype=np.float32)
+        mean = model.class_mean(sem["a"])
+        draw_class_rows(
+            [rows], lambda i: (np.random.default_rng(5), mean), np.sqrt(model.covariance)
+        )
+        expected = sample_generator(model, sem["a"], 7, seed=5).astype(np.float32)
+        assert rows.tobytes() == expected.tobytes()
+
+    def test_the_calling_thread_derives_every_class_in_order(self, available_cpus):
+        available_cpus(2)
+        rows = [np.empty((n, 256), dtype=np.float32) for n in range(200, 210)]
+        assert sum(r.size for r in rows) >= models._DRAW_VALUES
+        derived, drawn = [], []
+
+        class Recording:
+            def __init__(self, i):
+                self.rng = np.random.default_rng(i)
+
+            def standard_normal(self, out):
+                drawn.append(threading.get_ident())
+                self.rng.standard_normal(out=out)
+
+        def derive(i):
+            derived.append((i, threading.get_ident()))
+            return Recording(i), np.full(256, float(i))
+
+        before = threading.active_count()
+        draw_class_rows(rows, derive, 0.5)
+        me = threading.get_ident()
+        assert derived == [(i, me) for i in range(len(rows))]
+        assert len(drawn) == len(rows) and len(set(drawn)) <= 2
+        assert threading.active_count() == before  # the helper is joined
+        for i, out in enumerate(rows):
+            z = np.random.default_rng(i).standard_normal(out.shape)
+            assert out.tobytes() == (z * 0.5 + np.full(256, float(i))).astype(np.float32).tobytes()
+
+    def test_a_helper_error_is_raised_on_the_calling_thread(self, available_cpus):
+        available_cpus(2)
+        rows = [np.empty((300, 256), dtype=np.float32) for _ in range(8)]
+        rows[5] = np.empty((300, 128), dtype=np.float32)  # its draw cannot be cast into it
+        rngs = [np.random.default_rng(i) for i in range(8)]
+        with pytest.raises(ValueError, match="broadcast"):
+            draw_class_rows(rows, lambda i: (rngs[i], np.zeros(256)), 1.0)
+
+    def test_large_draws_do_not_depend_on_the_thread_count(
+        self, available_cpus, thread_counts, monkeypatch
+    ):
+        rng = np.random.default_rng(3)
+        v, s = 512, 6
+        model = GenerativeModel(
+            coeff=rng.normal(size=(v, s)), covariance=rng.uniform(0.01, 0.1, v), ridge=0.0
+        )
+        sem = SemanticTable(vectors={f"c{i:02d}": rng.normal(size=s) for i in range(12)})
+        counts = {cls: 40 + i for i, cls in enumerate(sem.vectors)}
+        assert sum(counts.values()) * v >= models._DRAW_VALUES
+        draws = []
+        interval = sys.getswitchinterval()
+        try:
+            # 8 threads, more than the cores, switching as often as they can
+            sys.setswitchinterval(1e-6)
+            for cpus, sweep_worker in ((1, False), (2, False), (8, False), (2, True)):
+                available_cpus(cpus)
+                monkeypatch.setattr(models, "_one_thread_per_fit", sweep_worker)
+                feats, labels = sample_per_class(model, sem, counts, 8, "stream")
+                draws.append(feats.tobytes())
+        finally:
+            sys.setswitchinterval(interval)
+        # the calling thread and its helpers, or no split at all
+        assert thread_counts == [1, 2, 8, 1]
+        assert draws[0] == draws[1] == draws[2] == draws[3]
+        expected = np.concatenate([
+            sample_generator(model, sem[cls], n, child_seed(8, "stream", i))
+            for i, (cls, n) in enumerate(counts.items())
+        ]).astype(np.float32)
+        assert draws[0] == expected.tobytes()
 
 
 class TestClassifier:
