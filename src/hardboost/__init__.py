@@ -53,6 +53,6 @@ from .harst import (
     select_cfbs,
     selection_quota,
 )
-from .benchmark import BenchmarkSpec, make_benchmark, standard_benchmark_spec, unbalanced_benchmark_spec
+from .benchmark import BenchmarkSpec, make_benchmark, paired_seed_study, standard_benchmark_spec, unbalanced_benchmark_spec
 
 __version__ = "0.1.0"

@@ -32,6 +32,8 @@ from .data import (
     SemanticTable,
     validate_bundle,
 )
+from .hars import run_generative_baseline, run_hars
+from .harst import run_harst
 from .models import draw_class_rows
 from .rng import substream
 
@@ -268,3 +270,30 @@ def unbalanced_benchmark_spec(seed: int = 0, shrink_factor: float = 0.1) -> Benc
     shrunk = unseen_class_ids(base)[2 * base.hard_pairs]  # first non-planted class
     counts[shrunk] = max(1, round(shrink_factor * counts[shrunk]))
     return standard_benchmark_spec(seed, unseen_counts=counts)
+
+
+def paired_seed_study(spec, seeds, runs: dict) -> list[dict]:
+    """Unseen-class accuracy of named runs over seeds, paired: each seed's
+    runs share one bundle, ``make_benchmark(spec(seed))``.
+
+    ``runs`` maps a name to ``(pipeline, config)``, the pipeline
+    ``"baseline"`` (:func:`~hardboost.hars.run_generative_baseline`),
+    ``"hars"`` or ``"harst"``, run at ``config.with_seed(seed)``.  Each row
+    is ``{"seed": seed, name: acc_u, ...}``; a ``harst`` run gives its last
+    iteration's ``acc_u``, and ``name + "_initial"`` its initial fit's.
+    """
+    pipelines = {"baseline": run_generative_baseline, "hars": run_hars, "harst": run_harst}
+    # looked up before any build, so an unknown pipeline's KeyError comes first
+    calls = {name: (pipelines[pipeline], config) for name, (pipeline, config) in runs.items()}
+    rows = []
+    for seed in seeds:
+        bundle, _, _ = make_benchmark(spec(seed))
+        row = {"seed": seed}
+        for name, (run, config) in calls.items():
+            result = run(bundle, config.with_seed(seed))[-1]
+            if run is run_harst:  # result is the IterationTrace
+                row[f"{name}_initial"] = result.initial_evaluation.acc_u
+                result = result.records[-1].evaluation
+            row[name] = result.acc_u
+        rows.append(row)
+    return rows

@@ -17,7 +17,6 @@ import argparse
 import dataclasses
 import hashlib
 import itertools
-import json
 import sys
 import time
 import warnings
@@ -25,7 +24,7 @@ from pathlib import Path
 
 from . import __version__, models
 from .benchmark import BenchmarkSpec, make_benchmark
-from .config import RunConfig, _checked, _fields_by_key, load_run_config, require_frequency_metric
+from .config import RunConfig, _checked, _fields_by_key, load_run_config, read_json, require_frequency_metric
 from .data import (
     ConfigError,
     DataError,
@@ -234,10 +233,7 @@ def _cmd_synth(args) -> int:
 
 def load_benchmark_spec(path) -> BenchmarkSpec:
     kinds = {f.name: f.type for f in dataclasses.fields(BenchmarkSpec)}
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+    obj = read_json(path)
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected a JSON object")
     unknown = sorted(set(obj) - set(kinds))
@@ -450,10 +446,7 @@ def _cmd_sweep(args) -> int:
     started = time.monotonic()
     bundle = _load_bundle(args.data)
     base_config = load_run_config(args.config)
-    try:
-        grid = json.loads(Path(args.grid).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{args.grid}: invalid JSON: {exc}") from None
+    grid = read_json(args.grid)
     if not isinstance(grid, dict) or not grid:
         raise ConfigError(f"{args.grid}: expected a non-empty JSON object")
     unknown = sorted(set(grid) - _SWEEP_PARAMS)

@@ -144,9 +144,13 @@ def parse_run_config(obj: dict, source: str = "config") -> RunConfig:
         raise ConfigError(f"{source}: {exc}") from None
 
 
-def load_run_config(path) -> RunConfig:
+def read_json(path):
+    """The JSON value in the file at ``path``; bad JSON is a :class:`ConfigError`."""
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-    return parse_run_config(obj, source=str(path))
+
+
+def load_run_config(path) -> RunConfig:
+    return parse_run_config(read_json(path), source=str(path))

@@ -7,6 +7,7 @@ Tolerances are fixed here, not calibrated elsewhere.
 
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 from hardboost.benchmark import (
     BenchmarkSpec,
     make_benchmark,
+    paired_seed_study,
     standard_benchmark_spec,
     unbalanced_benchmark_spec,
     unseen_class_ids,
@@ -250,28 +252,19 @@ def test_05_reduction_properties():
 
 def test_06_improvement_direction():
     """Mean ordering over 10 paired seeds on the standard planted benchmark."""
-    hars_diffs, gains, selection_diffs = [], [], []
-    for seed in range(10):
-        bundle, _, _ = make_benchmark(standard_benchmark_spec(seed=seed))
-        cfg = RunConfig(hard_count=4, alpha=2.0, beta=2.0, n_unseen=25, seed=seed, ridge=0.1)
-        _, base_report = run_generative_baseline(bundle, cfg)
-        _, _, hars_report = run_hars(bundle, cfg)
-        hars_diffs.append(hars_report.acc_u - base_report.acc_u)
-
-        tcfg = RunConfig(
-            iterations=6, hard_count=4, metric="cf", base_model="embedding", n_unseen=100,
-            seed=seed, ridge=0.1,
-        )
-        _, trace = run_harst(bundle, tcfg)
-        gains.append(trace.records[-1].evaluation.acc_u - trace.initial_evaluation.acc_u)
-        rcfg = RunConfig(
-            iterations=6, hard_count=4, metric="cf", base_model="embedding", n_unseen=100,
-            selection="rs", seed=seed, ridge=0.1,
-        )
-        _, rs_trace = run_harst(bundle, rcfg)
-        selection_diffs.append(
-            trace.records[-1].evaluation.acc_u - rs_trace.records[-1].evaluation.acc_u
-        )
+    cfg = RunConfig(hard_count=4, alpha=2.0, beta=2.0, n_unseen=25, ridge=0.1)
+    tcfg = RunConfig(
+        iterations=6, hard_count=4, metric="cf", base_model="embedding", n_unseen=100, ridge=0.1
+    )
+    rows = paired_seed_study(standard_benchmark_spec, range(10), {
+        "baseline": ("baseline", cfg),
+        "hars": ("hars", cfg),
+        "harst": ("harst", tcfg),
+        "rs": ("harst", replace(tcfg, selection="rs")),
+    })
+    hars_diffs = [row["hars"] - row["baseline"] for row in rows]
+    gains = [row["harst"] - row["harst_initial"] for row in rows]
+    selection_diffs = [row["harst"] - row["rs"] for row in rows]
     hars_mean = float(np.mean(hars_diffs))
     gain_mean = float(np.mean(gains))
     selection_mean = float(np.mean(selection_diffs))

@@ -3,15 +3,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hardboost import models
+from hardboost import benchmark, models
 from hardboost.benchmark import (
     BenchmarkSpec,
     make_benchmark,
+    paired_seed_study,
     standard_benchmark_spec,
     unbalanced_benchmark_spec,
     unseen_class_ids,
 )
+from hardboost.config import RunConfig
 from hardboost.hardness import rank_hard, ss_scores
+from hardboost.hars import run_generative_baseline, run_hars
+from hardboost.harst import run_harst
 from hardboost.rng import substream
 
 
@@ -182,3 +186,26 @@ def test_unbalanced_variant_shrinks_one_easy_class():
     assert bundle.class_priors[shrunk] == pytest.approx(
         counts[shrunk] / bundle.test_unseen.n
     )
+
+
+class TestPairedSeedStudy:
+    def test_each_run_gives_the_acc_u_of_its_pipeline(self):
+        hars = RunConfig(hard_count=2, n_unseen=20, seed=99)  # the study sets the seed
+        harst = RunConfig(iterations=2, hard_count=2, metric="cf", base_model="embedding", n_unseen=50)
+        runs = {"base": ("baseline", hars), "boost": ("hars", hars), "self": ("harst", harst)}
+        [row] = paired_seed_study(standard_benchmark_spec, [1], runs)
+        bundle, _, _ = make_benchmark(standard_benchmark_spec(1))
+        _, trace = run_harst(bundle, harst.with_seed(1))
+        assert row == {
+            "seed": 1,
+            "base": run_generative_baseline(bundle, hars.with_seed(1))[1].acc_u,
+            "boost": run_hars(bundle, hars.with_seed(1))[2].acc_u,
+            "self_initial": trace.initial_evaluation.acc_u,
+            "self": trace.records[-1].evaluation.acc_u,
+        }
+        assert len(set(row.values())) == 5  # four distinct accuracies: no run is read as another
+
+    def test_an_unknown_pipeline_fails_before_any_build(self, monkeypatch):
+        monkeypatch.setattr(benchmark, "make_benchmark", None)  # any build would fail
+        with pytest.raises(KeyError, match="gan"):
+            paired_seed_study(standard_benchmark_spec, [0], {"x": ("gan", RunConfig())})

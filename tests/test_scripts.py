@@ -1,8 +1,9 @@
-"""Smoke runs of the study scripts and of the README's library example.
+"""Smoke runs of the study script and of the README's library example.
 
-The scripts are the only callers outside the tests of
-``run_generative_baseline``, so each runs once, at its smallest size, in a
-fresh interpreter, as does the README's ``python`` block.
+The study script is the only program outside the tests that runs
+``paired_seed_study``, and through it ``run_generative_baseline``, so it
+runs once, at its smallest size, in a fresh interpreter, as does the
+README's ``python`` block.
 """
 
 import os
@@ -11,22 +12,14 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize(
-    "script, args",
-    [
-        ("improvement_study.py", ["--seeds", "1", "--iterations", "1"]),
-        ("sensitivity_study.py", ["--seeds", "1", "--out-dir", "out"]),
-    ],
-    ids=["improvement", "sensitivity"],
-)
-def test_study_script_exits_cleanly(script, args, tmp_path):
-    result = run_python([str(ROOT / "scripts" / script), *args], tmp_path)
+def test_study_script_exits_cleanly(tmp_path):
+    script = ROOT / "scripts" / "paired_seed_study.py"
+    result = run_python([str(script), "--seeds", "1", "--iterations", "1", "--out-dir", "out"], tmp_path)
     assert result.returncode == 0, result.stderr
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["K.csv", "T.csv", "alpha.csv", "beta.csv"]
 
 
 def test_readme_library_example_runs(tmp_path):
