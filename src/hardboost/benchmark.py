@@ -281,6 +281,7 @@ def paired_seed_study(spec, seeds, runs: dict) -> list[dict]:
     ``"hars"`` or ``"harst"``, run at ``config.with_seed(seed)``.  Each row
     is ``{"seed": seed, name: acc_u, ...}``; a ``harst`` run gives its last
     iteration's ``acc_u``, and ``name + "_initial"`` its initial fit's.
+    Names that share a pipeline and config share one run per seed.
     """
     pipelines = {"baseline": run_generative_baseline, "hars": run_hars, "harst": run_harst}
     # looked up before any build, so an unknown pipeline's KeyError comes first
@@ -288,9 +289,11 @@ def paired_seed_study(spec, seeds, runs: dict) -> list[dict]:
     rows = []
     for seed in seeds:
         bundle, _, _ = make_benchmark(spec(seed))
-        row = {"seed": seed}
+        row, results = {"seed": seed}, {}
         for name, (run, config) in calls.items():
-            result = run(bundle, config.with_seed(seed))[-1]
+            if (run, config) not in results:
+                results[run, config] = run(bundle, config.with_seed(seed))[-1]
+            result = results[run, config]
             if run is run_harst:  # result is the IterationTrace
                 row[f"{name}_initial"] = result.initial_evaluation.acc_u
                 result = result.records[-1].evaluation

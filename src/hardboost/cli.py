@@ -69,7 +69,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--metric", choices=["ss", "cf", "pncf"], default="ss")
     p.add_argument("--k", type=int, required=True, help="hard-class count")
     p.add_argument("--preds", help="predictions CSV (required for cf/pncf)")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=".", help="output directory")
 
     for name in ("hars", "harst"):
@@ -261,7 +260,7 @@ def _hardness_for(args, bundle) -> HardnessReport:
     preds = _test_unseen_predictions(args.preds, bundle)
     priors = bundle.class_priors
     if priors is None and args.metric == "pncf":
-        priors = estimate_class_priors(bundle.test_unseen, bundle.split, args.seed, preds)
+        priors = estimate_class_priors(bundle.test_unseen, bundle.split, preds)
     return frequency_hardness(preds, bundle.split, args.metric, args.k, priors)
 
 
@@ -273,7 +272,7 @@ def _cmd_identify(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     report.write_json(out / "hardness.json")
     inputs = [args.data] + ([args.preds] if args.preds else [])
-    _write_manifest(out, "identify", args.seed, inputs, started=started)
+    _write_manifest(out, "identify", None, inputs, started=started)
     return 0
 
 

@@ -4,7 +4,7 @@ The toolkit consumes precomputed visual features, per-class attribute
 vectors, and a seen/unseen class split.  Four small formats cover all
 on-disk data:
 
-* feature tables -- binary (magic ``ZSF1``) or CSV, rows of (label, vector)
+* feature tables -- binary (magic ``ZSF1``), rows of (label, vector)
 * semantic tables -- CSV, one attribute vector per class
 * class splits -- JSON ``{"seen": [...], "unseen": [...]}``
 * class priors -- JSON map class id -> probability
@@ -350,23 +350,8 @@ def dump_json(obj) -> str:
 # feature tables
 
 
-def load_feature_table(path, fmt: str = "binary") -> FeatureTable:
-    """Read a feature table; ``fmt`` is ``"binary"`` or ``"csv"``."""
-    if fmt == "binary":
-        return _load_feature_binary(path)
-    if fmt == "csv":
-        return _load_feature_csv(path)
-    raise ValueError(f"unknown feature format {fmt!r}")
-
-
-def write_feature_table(table: FeatureTable, path, fmt: str = "binary") -> None:
-    if fmt == "binary":
-        atomic_write_bytes(path, *_feature_binary_chunks(table))
-    elif fmt == "csv":
-        _label_block(table.labels)  # names the first label that is not UTF-8
-        atomic_write_text(path, _feature_csv_text(table))
-    else:
-        raise ValueError(f"unknown feature format {fmt!r}")
+def write_feature_table(table: FeatureTable, path) -> None:
+    atomic_write_bytes(path, *_feature_binary_chunks(table))
 
 
 def _label_block(labels) -> bytes:
@@ -396,7 +381,8 @@ def _feature_binary_chunks(table: FeatureTable) -> tuple:
     return header, body, struct.pack("<I", len(label_block)), label_block
 
 
-def _load_feature_binary(path) -> FeatureTable:
+def load_feature_table(path) -> FeatureTable:
+    """Read a binary feature table (``.zsf``)."""
     raw = Path(path).read_bytes()
     name = str(path)
     if len(raw) < 20 or raw[:4] != _MAGIC:
@@ -431,51 +417,6 @@ def _load_feature_binary(path) -> FeatureTable:
     if bad is not None:
         raise DataError(f"{name}: non-finite feature value in row {bad}")
     return FeatureTable(features=feats, labels=tuple(labels))
-
-
-def _feature_csv_text(table: FeatureTable) -> str:
-    lines = []
-    for row in range(table.n):
-        label = table.labels[row]
-        if "," in label or "\n" in label:
-            raise DataError(f"row {row}: label {label!r} not CSV-serializable")
-        values = ",".join(str(v) for v in table.features[row])
-        lines.append(f"{label},{values}")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _load_feature_csv(path) -> FeatureTable:
-    name = str(path)
-    rows: list[np.ndarray] = []
-    labels: list[str] = []
-    dim = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) < 2:
-                raise DataError(f"{name}: row {lineno}: expected label and features")
-            try:
-                vec = np.asarray([float(p) for p in parts[1:]], dtype=np.float64)
-            except ValueError as exc:
-                raise DataError(f"{name}: row {lineno}: {exc}") from None
-            if dim is None:
-                dim = vec.size
-            elif vec.size != dim:
-                raise DataError(
-                    f"{name}: row {lineno}: dimension {vec.size}, expected {dim}"
-                )
-            if not np.isfinite(vec).all():
-                raise DataError(f"{name}: row {lineno}: non-finite feature value")
-            labels.append(parts[0])
-            rows.append(vec)
-    if not rows:
-        raise DataError(f"{name}: empty CSV feature table")
-    return FeatureTable(
-        features=np.stack(rows).astype(np.float32), labels=tuple(labels)
-    )
 
 
 # ---------------------------------------------------------------------------

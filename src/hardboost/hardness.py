@@ -9,7 +9,9 @@ Two families of scores are supported:
   ranked hard.
 * pseudo-label class frequencies for the transductive setting: classes a
   model rarely predicts are ranked hard, optionally after dividing each
-  frequency by the class prior to correct for unbalanced data.
+  frequency by the class prior to correct for unbalanced data.  A bundle
+  without priors gets them from :func:`estimate_class_priors`: k-means whose
+  centers start at the pseudo-label class means, with no random start.
 """
 
 from __future__ import annotations
@@ -31,12 +33,9 @@ from .data import (
     load_json,
 )
 from .models import nearest_rows
-from .rng import substream
 
 #: seen-side distances averaged per unseen class
 NEAR_SEEN_COUNT = 3
-#: k-means restarts after an empty cluster in :func:`estimate_class_priors`
-_MAX_RESTARTS = 10
 
 
 def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -168,26 +167,29 @@ def frequency_hardness(
 
 
 def estimate_class_priors(
-    unlabeled: FeatureTable,
-    split: ClassSplit,
-    seed: int,
-    pseudo_labels,
+    unlabeled: FeatureTable, split: ClassSplit, pseudo_labels
 ) -> dict[str, float]:
     """Estimate unseen-class priors from cluster proportions.
 
-    Runs Lloyd's k-means with one center per unseen class on the unlabeled
-    features; priors are smoothed cluster-size proportions (one phantom
-    sample added per class before normalizing).  Each cluster is attributed
-    to the majority unseen label among its rows' ``pseudo_labels`` (one per
-    row), tying cluster mass to a concrete class.
+    Runs Lloyd's k-means with one center per unseen class, in sorted class
+    order, on the unlabeled features.  Center j starts at the mean of the
+    rows whose pseudo label (one per row) is class j, so cluster j stands
+    for class j throughout; this is the prototype-matched seeding of
+    transductive ZSL (Wan et al. 2019, arXiv:1901.01570).  The cost of tying
+    the clusters to the labels: a class the pseudo labels never name starts
+    at the mean of all rows, with no pull toward its own rows.
     Each row goes to its nearest center through
     :func:`~hardboost.models.nearest_rows`, which returns the exact
-    squared-distance argmin with ties broken on the lower center index.
+    squared-distance argmin with ties broken on the lower center index.  A
+    cluster left empty keeps its center.  The loop stops when the
+    assignments repeat, or after 100 rounds.  Priors are smoothed
+    cluster-size proportions (one phantom sample added per class before
+    normalizing).  There is no random start, so the estimate is
+    deterministic.
     The clustering runs on the float32 table: each float64 center is
-    averaged from its own rows, widened first, which gives the bits of a
-    float64 copy of the table without making one.
-    Deterministic given ``seed``; empty clusters trigger a restart, at most
-    ``_MAX_RESTARTS`` of them.
+    averaged from its own rows, widened first, and the mean of all rows is
+    summed by numpy's buffered reduction, which widens a few rows at a time,
+    so no float64 copy of the table is made.
     """
     if unlabeled.n == 0:
         raise ValueError("cannot estimate priors from an empty table")
@@ -198,41 +200,23 @@ def estimate_class_priors(
     if len(pseudo_labels) != unlabeled.n:
         raise ValueError("one pseudo label per unlabeled row is required")
     x = unlabeled.features
-    m = x.shape[0]
-    if m < c:
-        raise ValueError(f"{m} samples cannot form {c} clusters")
+    if x.shape[0] < c:
+        raise ValueError(f"{x.shape[0]} samples cannot form {c} clusters")
 
-    rng = substream(seed, "prior-estimation")
-    assign = None
-    for _ in range(_MAX_RESTARTS):
-        centers = x[rng.choice(m, size=c, replace=False)].astype(np.float64)
-        assign = None
-        for _ in range(100):
-            new_assign = nearest_rows(x, centers)
-            if (np.bincount(new_assign, minlength=c) == 0).any():  # an empty cluster
-                assign = None
-                break
-            centers = np.stack([x[new_assign == j].astype(float).mean(axis=0) for j in range(c)])
-            if assign is not None and np.array_equal(new_assign, assign):
-                break
-            assign = new_assign
-        if assign is not None:
+    index = {cls: j for j, cls in enumerate(classes)}
+    # a row labelled with a seen class (index c) starts in no cluster
+    assign = np.array([index.get(l, c) for l in pseudo_labels])
+    centers = np.tile(x.mean(axis=0, dtype=np.float64), (c, 1))
+    for _ in range(100):
+        for j in range(c):
+            members = assign == j
+            if members.any():
+                centers[j] = x[members].astype(np.float64).mean(axis=0)
+        new_assign = nearest_rows(x, centers)
+        if np.array_equal(new_assign, assign):
             break
-    if assign is None:
-        raise ValueError(
-            f"clustering degenerated to an empty cluster {_MAX_RESTARTS} times"
-        )
-
-    sizes = np.bincount(assign, minlength=c)
-    mass = {cls: 0 for cls in classes}
-    labels = list(pseudo_labels)
-    for j in range(c):
-        members = [labels[i] for i in np.flatnonzero(assign == j)]
-        votes = Counter(l for l in members if l in split.unseen)
-        if votes:
-            winner = sorted(votes, key=lambda cls: (-votes[cls], cls))[0]
-            mass[winner] += int(sizes[j])
-    smoothed = np.asarray([mass[cls] + 1 for cls in classes], dtype=np.float64)
+        assign = new_assign
+    smoothed = np.bincount(assign, minlength=c) + 1.0
     priors = smoothed / smoothed.sum()
     return {cls: float(priors[i]) for i, cls in enumerate(classes)}
 

@@ -149,12 +149,7 @@ def run_harst(
     initial = _stage("initial-fit", fit_predict, [], 0)
     if priors is None and config.metric == "pncf":
         priors = _stage(
-            "estimate-priors",
-            estimate_class_priors,
-            bundle.test_unseen,
-            split,
-            child_seed(config.seed, "priors"),
-            initial,
+            "estimate-priors", estimate_class_priors, bundle.test_unseen, split, initial
         )
     initial_eval = evaluate_if_labeled(bundle, initial)
     current = initial

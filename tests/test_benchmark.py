@@ -205,6 +205,21 @@ class TestPairedSeedStudy:
         }
         assert len(set(row.values())) == 5  # four distinct accuracies: no run is read as another
 
+    def test_names_for_one_config_share_one_run(self, monkeypatch):
+        calls = []
+
+        def counted(bundle, config, _run=run_hars):
+            calls.append(config)
+            return _run(bundle, config)
+
+        monkeypatch.setattr(benchmark, "run_hars", counted)
+        hars = RunConfig(hard_count=2, n_unseen=20)
+        runs = {"a": ("hars", hars), "b": ("hars", RunConfig(hard_count=2, n_unseen=20)),
+                "K=3": ("hars", RunConfig(hard_count=3, n_unseen=20)), "base": ("baseline", hars)}
+        [row] = paired_seed_study(standard_benchmark_spec, [1], runs)
+        assert calls == [hars.with_seed(1), RunConfig(hard_count=3, n_unseen=20, seed=1)]
+        assert row["a"] == row["b"] and list(row) == ["seed", "a", "b", "K=3", "base"]
+
     def test_an_unknown_pipeline_fails_before_any_build(self, monkeypatch):
         monkeypatch.setattr(benchmark, "make_benchmark", None)  # any build would fail
         with pytest.raises(KeyError, match="gan"):

@@ -152,6 +152,22 @@ class TestIdentify:
         assert f"error: {preds}: 2 predictions for {n} test rows" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_pncf_without_priors_estimates_them_without_a_seed(self, data_dir, tmp_path):
+        data = shutil.copytree(data_dir, tmp_path / "data")
+        (data / "priors.json").unlink()
+        preds = tmp_path / "preds.csv"
+        labels = load_bundle(data).test_unseen.labels
+        preds.write_text("row_index,predicted_class\n" + "".join(
+            f"{i},{label}\n" for i, label in enumerate(labels)))
+        argv = ["identify", "--data", str(data), "--metric", "pncf", "--k", "2",
+                "--preds", str(preds)]
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert dispatch(argv + ["--out", str(out)]) == 0
+        assert (outs[0] / "hardness.json").read_bytes() == (outs[1] / "hardness.json").read_bytes()
+        assert json.loads((outs[0] / "manifest.json").read_text())["seed"] is None
+        assert dispatch(argv + ["--seed", "3", "--out", str(tmp_path / "c")]) == 1
+
     def test_label_outside_the_split_rejected(self, data_dir, tmp_path, capsys):
         preds = tmp_path / "preds.csv"
         preds.write_text("row_index,predicted_class\n" + "".join(

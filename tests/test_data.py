@@ -95,26 +95,6 @@ class TestFeatureTable:
             assert scatters[k].tobytes() == ((rows - means[k]) ** 2).sum(axis=0).tobytes()
         assert table.class_scatters() is scatters and not scatters.flags.writeable
 
-    def test_csv_parse(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("a,1.0,2.0\nb,3.0,4.0\n")
-        table = load_feature_table(path, fmt="csv")
-        assert table.n == 2 and table.dim == 2
-        assert table.labels == ("a", "b")
-        np.testing.assert_array_equal(table.features, [[1.0, 2.0], [3.0, 4.0]])
-
-    def test_csv_dimension_mismatch_names_row(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("a,1.0,2.0\nb,3.0\n")
-        with pytest.raises(DataError, match="row 1"):
-            load_feature_table(path, fmt="csv")
-
-    def test_csv_non_finite_names_row(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("a,1.0,2.0\nb,nan,4.0\n")
-        with pytest.raises(DataError, match="row 1"):
-            load_feature_table(path, fmt="csv")
-
     def test_empty_binary_table(self, tmp_path):
         table = FeatureTable(features=np.empty((0, 3), dtype=np.float32), labels=())
         path = tmp_path / "t.zsf"
@@ -137,17 +117,6 @@ class TestFeatureTable:
         with pytest.raises(DataError, match="version"):
             load_feature_table(path)
 
-    def test_csv_write_read_round_trip(self, tmp_path, rng):
-        table = FeatureTable(
-            features=rng.normal(size=(5, 3)).astype(np.float32),
-            labels=tuple(f"c{i}" for i in range(5)),
-        )
-        path = tmp_path / "t.csv"
-        write_feature_table(table, path, fmt="csv")
-        loaded = load_feature_table(path, fmt="csv")
-        assert loaded.labels == table.labels
-        np.testing.assert_array_equal(loaded.features, table.features)
-
     def test_binary_truncated(self, tmp_path):
         table = FeatureTable(
             features=np.ones((2, 2), dtype=np.float32), labels=("a", "b")
@@ -158,11 +127,10 @@ class TestFeatureTable:
         with pytest.raises(DataError):
             load_feature_table(path)
 
-    @pytest.mark.parametrize("fmt", ["binary", "csv"])
-    def test_unencodable_label_rejected_on_write(self, tmp_path, fmt):
+    def test_unencodable_label_rejected_on_write(self, tmp_path):
         table = FeatureTable(features=np.ones((2, 1), dtype=np.float32), labels=("a", "\ud800"))
         with pytest.raises(DataError, match="row 1.*UTF-8"):
-            write_feature_table(table, tmp_path / "t", fmt=fmt)
+            write_feature_table(table, tmp_path / "t")
         assert not (tmp_path / "t").exists()
 
     @pytest.mark.parametrize("block_values", [2, 6, 1 << 18])
@@ -377,9 +345,9 @@ def test_write_bundle_raises_the_helper_error_and_writes_nothing_after_it(
     )
     threads = []
 
-    def recording(table, path, fmt="binary", _write=data_module.write_feature_table):
+    def recording(table, path, _write=data_module.write_feature_table):
         threads.append(threading.current_thread())
-        _write(table, path, fmt)
+        _write(table, path)
 
     monkeypatch.setattr(data_module, "write_feature_table", recording)
     monkeypatch.setattr(data_module, "_HELPER_WRITE_VALUES", 0)

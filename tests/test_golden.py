@@ -61,8 +61,8 @@ RUNS = {
     ),
     "harst-embedding-pncf-estimated-priors": (
         ["harst"], {**_EMBEDDING, "metric": "pncf", "label_space": "unseen"},
-        {"predictions.csv": "b66aeef1150ba8095ee1b202c2541adf8d4be553312c340f7379df27b54375a0",
-         "trace.json": "4c0e703435d8e80f1ad4875627599b8a4ef57ef942bcea55722a5be08d30ca8a"},
+        {"predictions.csv": "38302cd4781860e9043fc3c2752530b81e322fe7604357ffbddcf0cc1a045c9d",
+         "trace.json": "d130cb20b6ca7f886136877faf57db298f5200d89c5fb2a445f1faac65297901"},
     ),
     "hars": (
         ["hars"], {"K": 4, "N_u": 20, "seed": 5, "classifier": _CLF},

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hardboost import models
+from hardboost.config import RunConfig
 from hardboost.data import ClassSplit, FeatureTable, SemanticTable
 from hardboost.hardness import (
     HardnessReport,
@@ -196,7 +198,7 @@ class TestPriorEstimation:
     def test_single_class_is_forced(self):
         table = FeatureTable(features=np.ones((4, 2), dtype=np.float32), labels=("?",) * 4)
         split = ClassSplit(seen=frozenset({"s"}), unseen=frozenset({"c"}))
-        assert estimate_class_priors(table, split, seed=0, pseudo_labels=["c"] * 4) == {"c": 1.0}
+        assert estimate_class_priors(table, split, pseudo_labels=["c"] * 4) == {"c": 1.0}
 
     def test_planted_mixture_weights(self, rng):
         a = rng.normal(size=(30, 3)) * 0.1 + np.array([5.0, 0.0, 0.0])
@@ -206,7 +208,7 @@ class TestPriorEstimation:
         )
         split = ClassSplit(seen=frozenset({"s"}), unseen=frozenset({"c1", "c2"}))
         labels = ["c1"] * 30 + ["c2"] * 70
-        priors = estimate_class_priors(table, split, seed=3, pseudo_labels=labels)
+        priors = estimate_class_priors(table, split, pseudo_labels=labels)
         assert [priors["c1"], priors["c2"]] == pytest.approx([0.3, 0.7], abs=0.05)
         assert sum(priors.values()) == pytest.approx(1.0, abs=1e-9)
 
@@ -218,18 +220,55 @@ class TestPriorEstimation:
         )
         split = ClassSplit(seen=frozenset({"s"}), unseen=frozenset({"c1", "c2"}))
         labels = ["c2"] * 30 + ["c1"] * 70  # the big cluster is predicted c1
-        priors = estimate_class_priors(table, split, seed=3, pseudo_labels=labels)
+        priors = estimate_class_priors(table, split, pseudo_labels=labels)
         assert priors["c1"] == pytest.approx(0.7, abs=0.05)
         assert priors["c2"] == pytest.approx(0.3, abs=0.05)
 
     def test_deterministic_given_seed(self, rng):
+        """The estimate takes no seed: repeated calls give the same priors."""
         feats = rng.normal(size=(40, 3)).astype(np.float32)
         table = FeatureTable(features=feats, labels=("?",) * 40)
         split = ClassSplit(seen=frozenset({"s"}), unseen=frozenset({"c1", "c2", "c3"}))
         labels = ["c1", "c2", "c3"] * 13 + ["c1"]
-        first = estimate_class_priors(table, split, seed=11, pseudo_labels=labels)
-        second = estimate_class_priors(table, split, seed=11, pseudo_labels=labels)
+        first = estimate_class_priors(table, split, pseudo_labels=labels)
+        second = estimate_class_priors(table, split, pseudo_labels=labels)
         assert first == second
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            ["c1"] * 30 + ["c2"] * 70,  # no row is labelled c3
+            # c3 starts between the blobs, and its cluster empties
+            ["c1"] * 29 + ["c3"] + ["c2"] * 69 + ["c3"],
+        ],
+        ids=["unnamed-class", "emptied-cluster"],
+    )
+    def test_a_class_without_rows_keeps_its_smoothing_share(self, rng, labels):
+        a = rng.normal(size=(30, 3)) * 0.1 + np.array([5.0, 0.0, 0.0])
+        b = rng.normal(size=(70, 3)) * 0.1 + np.array([-5.0, 0.0, 0.0])
+        table = FeatureTable(
+            features=np.concatenate([a, b]).astype(np.float32), labels=("?",) * 100
+        )
+        split = ClassSplit(seen=frozenset({"s"}), unseen=frozenset({"c1", "c2", "c3"}))
+        priors = estimate_class_priors(table, split, pseudo_labels=labels)
+        assert priors == pytest.approx({"c1": 31 / 103, "c2": 71 / 103, "c3": 1 / 103})
+        assert np.isfinite(list(priors.values())).all()
+        assert sum(priors.values()) == pytest.approx(1.0)
+
+    def test_close_to_the_true_shares_on_the_desk_benchmark(self, standard_benchmark):
+        """From the embedding base's initial pseudo labels, the estimate is
+        within L1 0.05 of the true shares and gives no class less than half
+        its share: ``pncf`` divides by that share."""
+        bundle, _, _ = standard_benchmark
+        config = RunConfig()
+        labels = models.fit_predict_unseen(
+            bundle, [], "embedding", sorted(bundle.split.unseen), config.ridge,
+            config.n_unseen, config.classifier, config.seed,
+        )
+        priors = estimate_class_priors(bundle.test_unseen, bundle.split, labels)
+        truth = bundle.class_priors
+        assert sum(abs(priors[c] - truth[c]) for c in truth) < 0.05
+        assert min(priors[c] / truth[c] for c in truth) > 0.5
 
     def test_memory_is_not_rows_by_clusters_by_dim(self, rng):
         n, c, v = 500, 40, 256
@@ -242,7 +281,7 @@ class TestPriorEstimation:
         tracemalloc.start()
         try:
             priors = estimate_class_priors(
-                table, split, seed=0, pseudo_labels=[f"c{j % c:02d}" for j in range(n)]
+                table, split, pseudo_labels=[f"c{j % c:02d}" for j in range(n)]
             )
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -263,7 +302,7 @@ class TestPriorEstimation:
         labels = [f"c{j % c:02d}" for j in range(n)]
         tracemalloc.start()
         try:
-            priors = estimate_class_priors(table, split, seed=0, pseudo_labels=labels)
+            priors = estimate_class_priors(table, split, pseudo_labels=labels)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -274,7 +313,7 @@ class TestPriorEstimation:
         table = FeatureTable(features=np.ones((1, 2), dtype=np.float32), labels=("?",))
         split = ClassSplit(seen=frozenset({"s"}), unseen=frozenset({"c1", "c2"}))
         with pytest.raises(ValueError):
-            estimate_class_priors(table, split, seed=0, pseudo_labels=["c1"])
+            estimate_class_priors(table, split, pseudo_labels=["c1"])
 
 
 class TestHardnessReport:
