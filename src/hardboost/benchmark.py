@@ -169,12 +169,14 @@ def make_benchmark(
     """Generate a validated bundle, the planted hard-class ids, and the
     generating semantic-to-visual map.
 
+    The bundle holds two tables, ``train_seen`` and ``test_unseen``; no
+    seen-class test rows are drawn, since only unseen rows are scored.
     Class ``idx`` of each table draws its rows, ``w0 @ proto + noise_scale
-    * z`` in float64 cast to float32, from ``substream(seed, table, idx)``.
-    The three tables are drawn in one
-    :func:`~hardboost.models.draw_class_rows` call, so a CUB-sized build
-    draws on every available CPU and a desk-sized one on this thread alone,
-    with the same bytes.
+    * z`` in float64 cast to float32, from ``substream(seed, name, idx)``,
+    ``name`` being ``"train-seen"`` or ``"test-unseen"``.  Both tables are
+    drawn in one :func:`~hardboost.models.draw_class_rows` call, so a
+    CUB-sized build draws on every available CPU and a desk-sized one on
+    this thread alone, with the same bytes.
     """
     protos, planted = _build_prototypes(spec)
     rotation = _rotation(substream(spec.seed, "rotation"), spec.semantic_dim)
@@ -199,12 +201,10 @@ def make_benchmark(
                 raise ValueError(f"unseen_counts[{cls!r}] must be >= 1")
             unseen_counts[cls] = int(count)
 
-    seen_counts = {cls: spec.n_per_class for cls in seen}
     tables, rows, classes = [], [], []  # classes[i]: (stream name, index, class id)
     for class_ids, counts, stream_name in (
-        (seen, seen_counts, "train-seen"),
+        (seen, {cls: spec.n_per_class for cls in seen}, "train-seen"),
         (unseen, unseen_counts, "test-unseen"),
-        (seen, seen_counts, "test-seen"),
     ):
         feats = np.empty((sum(counts[cls] for cls in class_ids), spec.visual_dim), np.float32)
         labels = []
@@ -219,7 +219,7 @@ def make_benchmark(
         return substream(spec.seed, stream_name, idx), w0 @ protos[cls]
 
     draw_class_rows(rows, derive, spec.noise_scale)
-    train_seen, test_unseen, test_seen = (
+    train_seen, test_unseen = (
         FeatureTable(features=feats, labels=labels) for feats, labels in tables
     )
 
@@ -229,7 +229,6 @@ def make_benchmark(
     bundle = DatasetBundle(
         train_seen=train_seen,
         test_unseen=test_unseen,
-        test_seen=test_seen,
         semantics=semantics,
         split=split,
         class_priors=priors,

@@ -28,7 +28,6 @@ from .config import RunConfig, _checked, _fields_by_key, load_run_config, read_j
 from .data import (
     ConfigError,
     DataError,
-    DatasetBundle,
     ValidationError,
     atomic_write_text,
     dump_json,
@@ -171,11 +170,6 @@ def load_predictions(path) -> list[str]:
     return [by_index[i] for i in range(len(by_index))]
 
 
-def _load_bundle(path) -> DatasetBundle:
-    # no command reads test_seen: validated on load, it need not be held
-    return dataclasses.replace(load_bundle(path), test_seen=None)
-
-
 def _test_unseen_predictions(path, bundle) -> list[str]:
     """Read a predictions CSV that must hold one row per unseen test row."""
     preds = load_predictions(path)
@@ -266,7 +260,7 @@ def _hardness_for(args, bundle) -> HardnessReport:
 
 def _cmd_identify(args) -> int:
     started = time.monotonic()
-    bundle = _load_bundle(args.data)
+    bundle = load_bundle(args.data)
     report = _hardness_for(args, bundle)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -285,7 +279,7 @@ def _resolved_config(args) -> RunConfig:
 
 def _cmd_hars(args) -> int:
     started = time.monotonic()
-    bundle = _load_bundle(args.data)
+    bundle = load_bundle(args.data)
     config = _resolved_config(args)
     preds, hardness, report = run_hars(bundle, config)
     out = Path(args.out)
@@ -322,7 +316,7 @@ def _trace_json(trace) -> dict:
 
 def _cmd_harst(args) -> int:
     started = time.monotonic()
-    bundle = _load_bundle(args.data)
+    bundle = load_bundle(args.data)
     config = _resolved_config(args)
     preds, trace = run_harst(bundle, config)
     out = Path(args.out)
@@ -338,7 +332,7 @@ def _cmd_harst(args) -> int:
 
 def _cmd_eval(args) -> int:
     started = time.monotonic()
-    bundle = _load_bundle(args.data)
+    bundle = load_bundle(args.data)
     preds = _test_unseen_predictions(args.preds, bundle)
     report = evaluate(preds, list(bundle.test_unseen.labels), bundle.split)
     out = Path(args.out)
@@ -351,7 +345,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_analyze(args) -> int:
     started = time.monotonic()
-    bundle = _load_bundle(args.data)
+    bundle = load_bundle(args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.mode == "identification":
@@ -443,7 +437,7 @@ def _cmd_sweep(args) -> int:
     the workers' BLAS threads do not oversubscribe the CPUs.
     """
     started = time.monotonic()
-    bundle = _load_bundle(args.data)
+    bundle = load_bundle(args.data)
     base_config = load_run_config(args.config)
     grid = read_json(args.grid)
     if not isinstance(grid, dict) or not grid:

@@ -259,13 +259,16 @@ class ClassSplit:
 
 @dataclass(frozen=True)
 class DatasetBundle:
-    """Everything one experiment needs: features, semantics, split, priors."""
+    """Everything one experiment needs: features, semantics, split, priors.
+
+    Only unseen-class test rows are held, since only they are scored
+    (conventional zero-shot learning); there is no seen-class test table.
+    """
 
     train_seen: FeatureTable
     test_unseen: FeatureTable
     semantics: SemanticTable
     split: ClassSplit
-    test_seen: FeatureTable | None = None
     class_priors: dict[str, float] | None = None
 
 
@@ -291,12 +294,11 @@ def validate_bundle(bundle: DatasetBundle) -> DatasetBundle:
             raise ValidationError(
                 f"test_unseen row {row} labeled {label!r}, not an unseen class"
             )
-    if bundle.test_seen is not None:
-        for row, label in enumerate(bundle.test_seen.labels):
-            if label != UNLABELED and label not in split.seen:
-                raise ValidationError(
-                    f"test_seen row {row} labeled {label!r}, not a seen class"
-                )
+    if bundle.test_unseen.dim != bundle.train_seen.dim:
+        raise ValidationError(
+            f"test_unseen rows have {bundle.test_unseen.dim} features, "
+            f"train_seen rows have {bundle.train_seen.dim}"
+        )
 
     if bundle.class_priors is not None:
         priors = bundle.class_priors
@@ -413,10 +415,10 @@ def load_feature_table(path) -> FeatureTable:
             raise DataError(
                 f"{name}: {len(labels)} labels for {rows} rows"
             )
-    bad = _first_nonfinite_row(feats)
-    if bad is not None:
-        raise DataError(f"{name}: non-finite feature value in row {bad}")
-    return FeatureTable(features=feats, labels=tuple(labels))
+    try:
+        return FeatureTable(features=feats, labels=tuple(labels))
+    except ValidationError as exc:  # the checks above leave only a non-finite row
+        raise DataError(f"{name}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +521,6 @@ def write_priors(priors: dict[str, float], path) -> None:
 _BUNDLE_FILES = {
     "train_seen": "train_seen.zsf",
     "test_unseen": "test_unseen.zsf",
-    "test_seen": "test_seen.zsf",
     "semantics": "semantics.csv",
     "split": "split.json",
     "priors": "priors.json",
@@ -527,16 +528,19 @@ _BUNDLE_FILES = {
 
 
 def load_bundle(directory) -> DatasetBundle:
-    """Load and validate a bundle from its directory layout."""
+    """Load and validate a bundle from its directory layout.
+
+    A directory that still holds a ``test_seen.zsf``, which older bundles
+    carried and nothing read, is a ``DataError`` naming that file.
+    """
     directory = Path(directory)
+    retired = directory / "test_seen.zsf"
+    if retired.exists():
+        raise DataError(f"{retired}: bundles hold no seen-class test table; delete this file")
     train = load_feature_table(directory / _BUNDLE_FILES["train_seen"])
     test_unseen = load_feature_table(directory / _BUNDLE_FILES["test_unseen"])
     semantics = load_semantic_table(directory / _BUNDLE_FILES["semantics"])
     split = load_split(directory / _BUNDLE_FILES["split"])
-    test_seen = None
-    seen_path = directory / _BUNDLE_FILES["test_seen"]
-    if seen_path.exists():
-        test_seen = load_feature_table(seen_path)
     priors = None
     priors_path = directory / _BUNDLE_FILES["priors"]
     if priors_path.exists():
@@ -546,7 +550,6 @@ def load_bundle(directory) -> DatasetBundle:
         test_unseen=test_unseen,
         semantics=semantics,
         split=split,
-        test_seen=test_seen,
         class_priors=priors,
     )
     return validate_bundle(bundle)
@@ -566,8 +569,6 @@ def write_bundle(bundle: DatasetBundle, directory) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     tables = [(bundle.train_seen, "train_seen"), (bundle.test_unseen, "test_unseen")]
-    if bundle.test_seen is not None:
-        tables.append((bundle.test_seen, "test_seen"))
     errors = []
 
     def write_tables() -> None:

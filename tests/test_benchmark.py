@@ -96,7 +96,7 @@ class TestConstruction:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        tables = (bundle.train_seen, bundle.test_unseen, bundle.test_seen)
+        tables = (bundle.train_seen, bundle.test_unseen)
         assert peak < 1.5 * sum(t.features.nbytes for t in tables)
 
     def test_large_builds_do_not_depend_on_the_thread_count(
@@ -106,7 +106,7 @@ class TestConstruction:
             seen_count=20, unseen_count=10, semantic_dim=32, visual_dim=512, n_per_class=30,
             hard_pairs=2, affinity_gap=0.2, noise_scale=0.1, seed=5,
         )
-        assert (2 * spec.seen_count + spec.unseen_count) * spec.n_per_class * spec.visual_dim >= (
+        assert (spec.seen_count + spec.unseen_count) * spec.n_per_class * spec.visual_dim >= (
             models._DRAW_VALUES
         )
         builds = []
@@ -114,7 +114,7 @@ class TestConstruction:
             available_cpus(cpus)
             monkeypatch.setattr(models, "_one_thread_per_fit", sweep_worker)
             bundle, _, w0 = make_benchmark(spec)
-            tables = (bundle.train_seen, bundle.test_unseen, bundle.test_seen)
+            tables = (bundle.train_seen, bundle.test_unseen)
             builds.append([(t.features.tobytes(), t.labels) for t in tables])
         # one draw per build: the calling thread and one helper, or no split
         assert thread_counts == [1, 2, 1]

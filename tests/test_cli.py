@@ -7,7 +7,6 @@ import threading
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,7 +16,13 @@ from hardboost import hars as hars_module
 from hardboost import models
 from hardboost.cli import dispatch, load_predictions
 from hardboost.config import RunConfig, load_run_config, parse_run_config, require_frequency_metric
-from hardboost.data import ConfigError, load_bundle, load_feature_table, write_feature_table
+from hardboost.data import (
+    ConfigError,
+    FeatureTable,
+    load_bundle,
+    load_feature_table,
+    write_feature_table,
+)
 from hardboost.hars import PipelineError, run_hars
 from hardboost.harst import run_harst
 from hardboost.models import ClassifierConfig, fit_classifier
@@ -75,13 +80,13 @@ class TestSynth:
         assert {
             "train_seen.zsf",
             "test_unseen.zsf",
-            "test_seen.zsf",
             "semantics.csv",
             "split.json",
             "priors.json",
             "ground_truth.json",
             "manifest.json",
         } <= names
+        assert "test_seen.zsf" not in names
         truth = json.loads((data_dir / "ground_truth.json").read_text())
         assert truth["hard"] == ["u00", "u01", "u02", "u03"]
 
@@ -300,59 +305,46 @@ class TestPipelines:
 
 
 class TestTestSeenTable:
-    """``test_seen.zsf`` is optional and no command reads it; a malformed one
-    still fails at load, with the error that names it."""
-
-    @staticmethod
-    def run(command, data, tmp_path, out):
-        cfg = write_config(tmp_path / "cfg.json", T=2, metric="cf", base_model="embedding")
-        return dispatch([command, "--data", str(data), "--config", str(cfg), "--out", str(out)])
+    """Bundles hold no ``test_seen.zsf``; a directory that still does fails
+    at load with an error naming the file, and no run starts."""
 
     @pytest.mark.parametrize("command", ["hars", "harst"])
-    @pytest.mark.parametrize(
-        "fault, message",
-        [
-            ("unseen label", "test_seen row 3 labeled 'u00', not a seen class"),
-            ("non-finite row", "test_seen.zsf: non-finite feature value in row 3"),
-        ],
-    )
-    def test_a_malformed_table_is_rejected(
-        self, command, fault, message, data_dir, tmp_path, capsys
-    ):
+    def test_a_bundle_holding_the_table_is_rejected(self, command, data_dir, tmp_path, capsys):
         data = tmp_path / "data"
         shutil.copytree(data_dir, data)
-        path = data / "test_seen.zsf"
-        table = load_feature_table(path)
-        if fault == "unseen label":
-            labels = list(table.labels)
-            labels[3] = "u00"
-            write_feature_table(replace(table, labels=tuple(labels)), path)
-        else:  # float32 row 3 starts after the 20-byte header
-            raw = bytearray(path.read_bytes())
-            at = 20 + 3 * table.dim * 4
-            raw[at : at + 4] = np.float32(np.inf).tobytes()
-            path.write_bytes(bytes(raw))
+        shutil.copy(data / "train_seen.zsf", data / "test_seen.zsf")
+        cfg = write_config(tmp_path / "cfg.json", T=2, metric="cf", base_model="embedding")
         out = tmp_path / "run"
-        assert self.run(command, data, tmp_path, out) == 2
-        assert message in capsys.readouterr().err
+        assert dispatch(
+            [command, "--data", str(data), "--config", str(cfg), "--out", str(out)]
+        ) == 2
+        assert "test_seen.zsf: bundles hold no seen-class test table" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["hars", "harst"])
-    def test_a_bundle_without_the_table_runs_to_the_same_bytes(
-        self, command, data_dir, tmp_path
-    ):
+
+class TestFeatureWidths:
+    """A ``test_unseen`` table narrower than ``train_seen`` fails at load,
+    before any stage runs, in every command that reads a bundle."""
+
+    @pytest.mark.parametrize("command", ["hars", "harst", "identify"])
+    def test_a_narrower_test_unseen_table_is_rejected(self, command, data_dir, tmp_path, capsys):
         data = tmp_path / "data"
         shutil.copytree(data_dir, data)
-        (data / "test_seen.zsf").unlink()
-        assert self.run(command, data_dir, tmp_path, tmp_path / "with") == 0
-        assert self.run(command, data, tmp_path, tmp_path / "without") == 0
-        # the manifest records the inputs' digests; every other file must match
-        names = sorted(p.name for p in (tmp_path / "with").iterdir() if p.name != "manifest.json")
-        assert "predictions.csv" in names
-        for name in names:
-            assert (tmp_path / "with" / name).read_bytes() == (
-                tmp_path / "without" / name
-            ).read_bytes()
+        table = load_feature_table(data / "test_unseen.zsf")
+        narrow = FeatureTable(features=table.features[:, :-1], labels=table.labels)
+        write_feature_table(narrow, data / "test_unseen.zsf")
+        out = tmp_path / "run"
+        if command == "identify":
+            argv = [command, "--metric", "ss", "--k", "2"]
+        else:
+            cfg = write_config(tmp_path / "cfg.json", T=2, metric="cf", base_model="embedding")
+            argv = [command, "--config", str(cfg)]
+        assert dispatch(argv + ["--data", str(data), "--out", str(out)]) == 2
+        dim = table.dim
+        assert f"test_unseen rows have {dim - 1} features, train_seen rows have {dim}" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
 
 
 class TestEvalAndAnalyze:

@@ -147,6 +147,14 @@ class TestFeatureTable:
             with pytest.raises(ValidationError, match="^non-finite feature value in row 7$"):
                 FeatureTable(features=feats, labels=("a",) * 10)
 
+    def test_a_load_scans_for_non_finite_values_once(self, tmp_path):
+        path = tmp_path / "t.zsf"
+        write_feature_table(FeatureTable(features=np.ones((3, 2), dtype=np.float32), labels=("a",) * 3), path)
+        scan = mock.Mock(wraps=data_module._first_nonfinite_row)
+        with mock.patch.object(data_module, "_first_nonfinite_row", scan):
+            load_feature_table(path)
+        assert scan.call_count == 1
+
     def test_non_finite_rejected_at_construction(self):
         with pytest.raises(ValidationError, match="row 1"):
             FeatureTable(
@@ -287,6 +295,13 @@ class TestBundleValidation:
         with pytest.raises(ValidationError, match="row 1"):
             validate_bundle(bundle)
 
+    def test_feature_widths_must_match(self):
+        bundle = self.bundle(
+            test_unseen=FeatureTable(features=np.ones((2, 3), dtype=np.float32), labels=("c", "d"))
+        )
+        with pytest.raises(ValidationError, match="^test_unseen rows have 3 features, train_seen rows have 2$"):
+            validate_bundle(bundle)
+
     def test_unlabeled_test_rows_allowed(self):
         bundle = self.bundle(
             test_unseen=FeatureTable(
@@ -310,14 +325,26 @@ class TestBundleValidation:
         assert validate_bundle(bundle) is bundle
 
 
+def test_a_directory_holding_test_seen_is_rejected(tmp_path, standard_benchmark):
+    bundle, _, _ = standard_benchmark
+    write_bundle(bundle, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "priors.json", "semantics.csv", "split.json", "test_unseen.zsf", "train_seen.zsf",
+    ]
+    (tmp_path / "test_seen.zsf").write_bytes(b"")
+    with pytest.raises(DataError, match=re.escape(f"{tmp_path / 'test_seen.zsf'}: ")):
+        load_bundle(tmp_path)
+
+
 def test_bundle_directory_round_trip(tmp_path, standard_benchmark):
     bundle, _, _ = standard_benchmark
     write_bundle(bundle, tmp_path)
     loaded = load_bundle(tmp_path)
     np.testing.assert_array_equal(loaded.train_seen.features, bundle.train_seen.features)
     assert loaded.train_seen.labels == bundle.train_seen.labels
+    np.testing.assert_array_equal(loaded.test_unseen.features, bundle.test_unseen.features)
+    assert loaded.test_unseen.labels == bundle.test_unseen.labels
     assert loaded.split == bundle.split
-    assert loaded.test_seen is not None
     assert set(loaded.class_priors) == bundle.split.unseen
     for cls, vec in bundle.semantics.vectors.items():
         np.testing.assert_allclose(loaded.semantics[cls], vec, atol=1e-15)

@@ -242,7 +242,6 @@ class TestRunHarst:
             test_unseen=bundle.test_unseen,
             semantics=bundle.semantics,
             split=bundle.split,
-            test_seen=bundle.test_seen,
             class_priors=uniform,
         )
         cf_preds, cf_trace = run_harst(balanced, self.config(metric="cf"))
@@ -339,8 +338,6 @@ def relabel(bundle, rename):
     from hardboost.data import UNLABELED, DatasetBundle, FeatureTable, SemanticTable
 
     def renamed(table):
-        if table is None:
-            return None
         labels = tuple(l if l == UNLABELED else rename[l] for l in table.labels)
         return FeatureTable(features=table.features, labels=labels)
 
@@ -351,7 +348,6 @@ def relabel(bundle, rename):
         semantics=SemanticTable(vectors={rename[c]: v for c, v in bundle.semantics.vectors.items()}),
         split=ClassSplit(seen={rename[c] for c in bundle.split.seen},
                          unseen={rename[c] for c in bundle.split.unseen}),
-        test_seen=renamed(bundle.test_seen),
         class_priors=None if priors is None else {rename[c]: p for c, p in priors.items()},
     )
 
