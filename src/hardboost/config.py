@@ -13,7 +13,6 @@ from .models import ClassifierConfig
 METRICS = ("cf", "pncf")  # the frequency metrics, the only ones harst takes
 BASE_MODELS = ("embedding", "generative")
 SELECTIONS = ("cfbs", "rs")  # "rs" is the size-matched random baseline
-LABEL_SPACES = ("unseen", "all")  # "all" is the compound generalized setting
 
 # config-file keys of the fields whose file key is not the field name
 _FILE_KEYS = {"hard_count": "K", "iterations": "T", "support_count": "S", "n_unseen": "N_u"}
@@ -21,7 +20,6 @@ _CHOICES = {
     "metric": ("ss", *METRICS),
     "base_model": BASE_MODELS,
     "selection": SELECTIONS,
-    "label_space": LABEL_SPACES,
 }
 # JSON values each field annotation accepts; bools are never numbers here
 _JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
@@ -44,7 +42,6 @@ class RunConfig:
     metric: str = "ss"  # "ss" or one of METRICS; harst takes only METRICS
     base_model: str = "generative"  # harst's base, one of BASE_MODELS
     selection: str = "cfbs"  # one of SELECTIONS
-    label_space: str = "unseen"  # one of LABEL_SPACES
     ridge: float = 0.1
     classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
 

@@ -26,6 +26,7 @@ import struct
 import tempfile
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -491,6 +492,9 @@ def load_split(path) -> ClassSplit:
     for key, ids in obj.items():
         if not (isinstance(ids, list) and all(isinstance(cls, str) for cls in ids)):
             raise DataError(f"{path}: {key} must be a list of class id strings, got {ids!r}")
+        twice = [cls for cls, count in Counter(ids).items() if count > 1]
+        if twice:
+            raise DataError(f"{path}: {key} lists class id {twice[0]!r} more than once")
     return ClassSplit(seen=frozenset(obj["seen"]), unseen=frozenset(obj["unseen"]))
 
 

@@ -329,7 +329,7 @@ def contrastive_analysis(
     if UNLABELED in truths:
         raise ValueError("contrastive analysis needs true labels on the test rows")
     if oracle is None:
-        preds = fit_predict_unseen(bundle, [], base, classes, ridge, n, classifier, seed, "oracle-gen")
+        preds = fit_predict_unseen(bundle, [], base, ridge, n, classifier, seed, "oracle-gen")
         baseline = evaluate(preds, truths, bundle.split)
         oracle = HardEasyOracle.from_accuracies(
             {c: baseline.per_class_accuracy.get(c, 0.0) for c in classes}
@@ -379,7 +379,7 @@ def contrastive_analysis(
                 chosen = rng.choice(len(pool), size=count, replace=True)
             selected.extend((row, cls) for row in pool[chosen])
         preds = fit_predict_unseen(
-            bundle, selected, base, classes, ridge, n, classifier, seed, "group-clf", name
+            bundle, selected, base, ridge, n, classifier, seed, "group-clf", name
         )
         reports[name] = evaluate(preds, truths, bundle.split)
     return reports

@@ -147,8 +147,8 @@ def frequency_hardness(
     priors: dict[str, float] | None = None,
 ) -> HardnessReport:
     """``cf`` hardness scores each unseen class by its pseudo-label count,
-    ``pncf`` by that count over its prior.  Seen-class labels, which
-    predictions over all classes contain, are dropped; a label outside the
+    ``pncf`` by that count over its prior.  Seen-class labels, which an
+    outside predictions file may contain, are dropped; a label outside the
     split raises."""
     pseudo_labels = list(pseudo_labels)
     unknown = sorted(set(pseudo_labels) - split.all_classes)
@@ -195,10 +195,10 @@ def estimate_class_priors(
         raise ValueError("cannot estimate priors from an empty table")
     classes = sorted(split.unseen)
     c = len(classes)
-    if c == 1:
-        return {classes[0]: 1.0}
     if len(pseudo_labels) != unlabeled.n:
         raise ValueError("one pseudo label per unlabeled row is required")
+    if c == 1:
+        return {classes[0]: 1.0}
     x = unlabeled.features
     if x.shape[0] < c:
         raise ValueError(f"{x.shape[0]} samples cannot form {c} clusters")

@@ -133,12 +133,11 @@ def run_harst(
     if m == 0:
         raise ValueError("transductive training needs unseen test rows")
     split = bundle.split
-    candidates = sorted(split.all_classes if config.label_space == "all" else split.unseen)
 
     def fit_predict(selected, t):
         clf_seed = child_seed(child_seed(config.seed, "refit", t), "classifier")
         return fit_predict_unseen(
-            bundle, selected, config.base_model, candidates, config.ridge, config.n_unseen,
+            bundle, selected, config.base_model, config.ridge, config.n_unseen,
             replace(config.classifier, seed=clf_seed), config.seed, "refit-gen", t,
         )
 

@@ -37,9 +37,10 @@ once however often the table is fitted.
 
 :func:`fit_predict_unseen` is the transductive refit that ``harst`` and the
 contrastive study share: fit either base on the seen training rows plus
-selected (test row, label) pairs, then label every unseen test row.  Both
-bases merge the selected rows into the seen rows' cached statistics
-(:func:`_class_means`) instead of building the merged table.
+selected (test row, label) pairs, then label every unseen test row with an
+unseen class.  Both bases merge the selected rows into the seen rows'
+cached statistics (:func:`_class_means`) instead of building the merged
+table.
 """
 
 from __future__ import annotations
@@ -202,9 +203,10 @@ def nearest_rows(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
     lower center index.  Distances are screened with the GEMM form
     ``|x|^2 - 2 x.c + |c|^2``.  Both forms err by at most
     ``(v + 2) * eps * (|x| + max|c|)^2`` per entry, whatever order a GEMM
-    sums in, so a row whose best and second-best screened distances lie
-    within four times that bound is re-decided by the direct form: each
-    row's sum runs over its own contiguous ``v`` differences.
+    sums in, plus ``(v + 2)`` smallest subnormals where they underflow, so a
+    row whose best and second-best screened distances lie within four times
+    the first bound plus eight times the second is re-decided by the direct
+    form: each row's sum runs over its own contiguous ``v`` differences.
 
     ``x`` may be float32.  Its rows are screened in blocks of about
     ``_ROW_ELEMENTS`` values, each widened to float64 on its own, so memory
@@ -232,6 +234,7 @@ def nearest_rows(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
         return picks
     c_sq = np.einsum("ij,ij->i", centers, centers)
     c_norm, bound = np.sqrt(c_sq.max()), 4.0 * (v + 2) * np.finfo(np.float64).eps
+    underflow = 8.0 * (v + 2) * np.finfo(np.float64).smallest_subnormal
     rows = max(1, _ROW_ELEMENTS // max(v, centers.shape[0]))
     step = max(1, _RECHECK_ELEMENTS // max(centers.size, 1))
     for first in range(0, n, rows):
@@ -243,7 +246,7 @@ def nearest_rows(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
         out[:] = d2.argmin(axis=1)
         two_best = np.partition(d2, 1, axis=1)
         gap = two_best[:, 1] - two_best[:, 0]
-        tol = bound * (np.sqrt(x_sq) + c_norm) ** 2
+        tol = bound * (np.sqrt(x_sq) + c_norm) ** 2 + underflow
         # a screen that may have overflowed has tol = inf; ``not >`` also catches nan
         flagged = np.flatnonzero(~(gap > tol))
         for start in range(0, flagged.size, step):
@@ -786,40 +789,35 @@ def predict_classifier_batch(model: Classifier, features: np.ndarray) -> list[st
 
 
 def fit_predict_unseen(
-    bundle: DatasetBundle, selected, base: str, candidates, ridge: float,
+    bundle: DatasetBundle, selected, base: str, ridge: float,
     n_per_class: int, classifier: ClassifierConfig, seed: int, *stream,
 ) -> list[str]:
     """Fit ``base`` on the seen training rows plus the ``selected``
-    (test row index, label) pairs, then label every unseen test row.
+    (test row index, label) pairs, then label every unseen test row with
+    one of the unseen classes.
 
     Every training row counts once, so a pair selected twice counts twice.
     The ``"embedding"`` base fits class means weighted by their row counts,
     so selection multiplicity weights the fit and pseudo-label noise costs
-    what it should, and picks the nearest candidate prototype.  The
+    what it should, and picks the nearest unseen prototype.  The
     ``"generative"`` base fits the generator (:func:`fit_generator`), draws
-    ``n_per_class`` rows per unseen class from ``(seed, *stream)``, adds the
-    seen and selected rows when the candidates include seen classes, and
-    trains a softmax classifier over the candidates with ``classifier``.
+    ``n_per_class`` rows per unseen class from ``(seed, *stream)``, and
+    trains a softmax classifier on those rows alone with ``classifier``.
 
     Neither base builds a merged table: classes without selected rows keep
     the seen table's cached statistics, and only the classes the selection
     names are computed again, bit for bit as the merged table would give them.
     """
     train, test = bundle.train_seen, bundle.test_unseen.features
+    unseen = sorted(bundle.split.unseen)
     if base == "embedding":
         _, means, counts, sem, _ = _class_means(train, bundle.semantics, test, selected)
         model = fit_embedding_means(sem, means, counts, ridge)
-        return classify_embedding_batch(model, test, candidates, bundle.semantics)
+        return classify_embedding_batch(model, test, unseen, bundle.semantics)
     if base != "generative":
         raise ValueError(f"unknown base model {base!r}")
     gen = fit_generator(train, bundle.semantics, ridge, extra=test, selected=selected)
-    counts = dict.fromkeys(sorted(bundle.split.unseen), n_per_class)
+    counts = dict.fromkeys(unseen, n_per_class)
     feats, labels = sample_per_class(gen, bundle.semantics, counts, seed, *stream)
-    if not bundle.split.unseen.issuperset(candidates):
-        # the classifier trains in float32, so the seen rows join as they are
-        rows = [row for row, _ in selected]
-        feats = np.concatenate([feats, train.features, test[rows]], dtype=np.float32)
-        labels.extend(train.labels)
-        labels.extend(label for _, label in selected)
-    clf = fit_classifier(feats, labels, candidates, classifier)
+    clf = fit_classifier(feats, labels, unseen, classifier)
     return predict_classifier_batch(clf, test)

@@ -40,7 +40,6 @@ RUN_CONFIGS = st.builds(
     metric=st.sampled_from(["ss", "cf", "pncf"]),
     base_model=st.sampled_from(["embedding", "generative"]),
     selection=st.sampled_from(["cfbs", "rs"]),
-    label_space=st.sampled_from(["unseen", "all"]),
     ridge=_FLOATS,
     classifier=st.builds(
         ClassifierConfig,
@@ -133,15 +132,16 @@ class TestIdentify:
         assert code == 1
 
     def test_cf_drops_seen_pseudo_labels(self, data_dir, tmp_path):
-        cfg = write_config(tmp_path / "cfg.json", T=2, metric="cf", base_model="embedding",
-                           label_space="all")
-        run = tmp_path / "run"
-        assert dispatch(["harst", "--data", str(data_dir), "--config", str(cfg), "--out", str(run)]) == 0
-        preds = load_predictions(run / "predictions.csv")
-        assert any(p.startswith("s") for p in preds)
+        # an outside predictions file may name seen classes; every third row does here
+        labels = load_bundle(data_dir).test_unseen.labels
+        preds = ["s01" if i % 3 == 0 else label for i, label in enumerate(labels)]
+        path = tmp_path / "preds.csv"
+        path.write_text("row_index,predicted_class\n" + "".join(
+            f"{i},{p}\n" for i, p in enumerate(preds)
+        ))
         out = tmp_path / "id"
         assert dispatch(["identify", "--data", str(data_dir), "--metric", "cf", "--k", "2",
-                         "--preds", str(run / "predictions.csv"), "--out", str(out)]) == 0
+                         "--preds", str(path), "--out", str(out)]) == 0
         scores = json.loads((out / "hardness.json").read_text())["scores"]
         assert scores == {f"u{i:02d}": float(preds.count(f"u{i:02d}")) for i in range(8)}
 
@@ -752,6 +752,16 @@ class TestRunConfigFile:
         with pytest.raises(ConfigError, match="bogus"):
             parse_run_config({"bogus": 1})
 
+    @pytest.mark.parametrize("space", ["unseen", "all"])
+    def test_a_label_space_key_fails_the_run(self, space, data_dir, tmp_path, capsys):
+        # harst predicts over the unseen classes alone; the retired key is not ignored
+        cfg = write_config(tmp_path / "cfg.json", metric="cf", label_space=space)
+        out = tmp_path / "run"
+        code = dispatch(["harst", "--data", str(data_dir), "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert f"error: {cfg}: unknown key 'label_space'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_classifier_key_rejected(self):
         with pytest.raises(ConfigError, match="momentum"):
             parse_run_config({"classifier": {"momentum": 0.9}})
@@ -772,7 +782,7 @@ class TestRunConfigFile:
 
     def test_default_digest_is_pinned(self):
         # manifest config_hash values of earlier runs depend on this
-        expected = "2854b3d3f616816182d57631b7305f8ba8c2101ab2efe070ba7b1fe81df88689"
+        expected = "8df9f7c3acacda3ddcb8f5015bbe08dd99974148aed1120e4bb0422da02e32e7"
         assert RunConfig().digest() == expected
         assert parse_run_config({}).digest() == expected
 
@@ -797,7 +807,7 @@ class TestRunConfigFile:
             ({"ridge": "0.1"}, "ridge"),
             ({"metric": 1}, "metric"),
             ({"selection": "bogus"}, "selection"),
-            ({"label_space": "nope"}, "label_space"),
+            ({"base_model": "nope"}, "base_model"),
             ({"classifier": {"epochs": 3.5}}, "classifier.epochs"),
             ({"classifier": {"batch_size": False}}, "classifier.batch_size"),
             ({"classifier": {"learning_rate": None}}, "classifier.learning_rate"),

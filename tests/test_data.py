@@ -249,6 +249,17 @@ class TestSplit:
         split = load_split(path)
         assert split.seen == {"a"} and split.num_unseen == 2
 
+    @pytest.mark.parametrize("key, split", [
+        ("seen", '{"seen": ["s0", "s0", "s1"], "unseen": ["u0"]}'),
+        ("unseen", '{"seen": ["s0"], "unseen": ["u1", "u0", "u1"]}'),
+    ])
+    def test_a_class_id_listed_twice_is_rejected(self, tmp_path, key, split):
+        path = tmp_path / "split.json"
+        path.write_text(split)
+        twice = "s0" if key == "seen" else "u1"
+        with pytest.raises(DataError, match=rf"{re.escape(str(path))}: {key} lists class id '{twice}'"):
+            load_split(path)
+
     def test_unexpected_keys(self, tmp_path):
         path = tmp_path / "split.json"
         path.write_text('{"seen": ["a"], "unseen": ["b"], "extra": 1}')

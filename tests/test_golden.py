@@ -36,31 +36,21 @@ _EMBEDDING = {"K": 3, "T": 3, "seed": 5, "base_model": "embedding"}
 # run on a copy of the bundle without priors.json, so the priors are estimated
 NO_PRIORS = {"harst-embedding-pncf-estimated-priors"}
 # a hard class's pseudo-label pool runs empty, which select_cfbs warns about
-EMPTY_POOL = {"harst-generative-all", "harst-generative-unseen"}
+EMPTY_POOL = {"harst-generative-unseen"}
 
 RUNS = {
     "harst-generative-unseen": (
-        ["harst"], {**_HARST, "label_space": "unseen"},
+        ["harst"], _HARST,
         {"predictions.csv": "ceaccfde4e3090ca862d29ccc7d5296f69c7c7c699c8fa881a1394b2a2d44e9d",
          "trace.json": "738152b875a498b476d7ca6248bda1ee7ccdc6f136aa7b28450075f3094df95a"},
     ),
-    "harst-generative-all": (
-        ["harst"], {**_HARST, "label_space": "all"},
-        {"predictions.csv": "1c5e49cca65d039746fc47b7edac5e9a7cb48e73fbfea08b47d58df15b87d6e3",
-         "trace.json": "8931271af80fee9ff9363ee29a5ae4c6a62cec120d663c0b981b3b2ba1e8a858"},
-    ),
     "harst-embedding-unseen": (
-        ["harst"], {**_EMBEDDING, "metric": "cf", "label_space": "unseen"},
+        ["harst"], {**_EMBEDDING, "metric": "cf"},
         {"predictions.csv": "c6b0e2fc69fc975d257105f3890d59b27e00beac49548a8e24e834feec1192d7",
          "trace.json": "eeaa80286deda98c7ae8fd60702fb11d9f687daf6d1a63d118cff72060717038"},
     ),
-    "harst-embedding-all": (
-        ["harst"], {**_EMBEDDING, "metric": "cf", "label_space": "all"},
-        {"predictions.csv": "70712c6d32c15411d2e0f02704f301d601ab0f15c4f7b2ee438eab7dbe1e48b8",
-         "trace.json": "b3e9ae6ca8ad468da134ef5a8138ab2b791d99423ea0c5a26dd337c800fab1ec"},
-    ),
     "harst-embedding-pncf-estimated-priors": (
-        ["harst"], {**_EMBEDDING, "metric": "pncf", "label_space": "unseen"},
+        ["harst"], {**_EMBEDDING, "metric": "pncf"},
         {"predictions.csv": "38302cd4781860e9043fc3c2752530b81e322fe7604357ffbddcf0cc1a045c9d",
          "trace.json": "d130cb20b6ca7f886136877faf57db298f5200d89c5fb2a445f1faac65297901"},
     ),

@@ -200,6 +200,13 @@ class TestPriorEstimation:
         split = ClassSplit(seen=frozenset({"s"}), unseen=frozenset({"c"}))
         assert estimate_class_priors(table, split, pseudo_labels=["c"] * 4) == {"c": 1.0}
 
+    @pytest.mark.parametrize("unseen", [{"c1"}, {"c1", "c2"}])
+    def test_one_pseudo_label_per_row_is_required(self, unseen):
+        table = FeatureTable(features=np.ones((4, 2), dtype=np.float32), labels=("?",) * 4)
+        split = ClassSplit(seen=frozenset({"s"}), unseen=frozenset(unseen))
+        with pytest.raises(ValueError, match="one pseudo label per unlabeled row"):
+            estimate_class_priors(table, split, pseudo_labels=["c1"])
+
     def test_planted_mixture_weights(self, rng):
         a = rng.normal(size=(30, 3)) * 0.1 + np.array([5.0, 0.0, 0.0])
         b = rng.normal(size=(70, 3)) * 0.1 + np.array([-5.0, 0.0, 0.0])
@@ -262,8 +269,8 @@ class TestPriorEstimation:
         bundle, _, _ = standard_benchmark
         config = RunConfig()
         labels = models.fit_predict_unseen(
-            bundle, [], "embedding", sorted(bundle.split.unseen), config.ridge,
-            config.n_unseen, config.classifier, config.seed,
+            bundle, [], "embedding", config.ridge, config.n_unseen, config.classifier,
+            config.seed,
         )
         priors = estimate_class_priors(bundle.test_unseen, bundle.split, labels)
         truth = bundle.class_priors

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from hardboost.benchmark import BenchmarkSpec, make_benchmark, standard_benchmark_spec
 from hardboost.config import RunConfig
-from hardboost.data import ClassSplit, ConfigError
+from hardboost.data import ClassSplit, ConfigError, load_bundle
 from hardboost.harst import (
     random_selection_baseline,
     run_harst,
@@ -274,42 +275,22 @@ class TestRunHarst:
         preds, trace = run_harst(bundle, cfg)
         assert len(preds) == bundle.test_unseen.n
         assert len(trace.records) == 2
+        # every refit labels the test rows with unseen classes only
+        assert set(trace.initial_pseudo_labels) <= bundle.split.unseen
+        assert all(set(rec.pseudo_labels) <= bundle.split.unseen for rec in trace.records)
 
-    def test_compound_label_space_predicts_over_all_classes(self, standard_benchmark):
-        bundle, _, _ = standard_benchmark
-        cfg = self.config(iterations=2, label_space="all")
-        preds, trace = run_harst(bundle, cfg)
-        assert set(preds) <= bundle.split.all_classes
-        # selection pools stay restricted to unseen-labeled rows
-        for rec in trace.records:
-            assert set(rec.selected_per_class) <= bundle.split.unseen
-
-    def test_random_selection_finishes_when_no_pseudo_label_is_unseen(
-        self, standard_benchmark
-    ):
-        # every test row is predicted as a seen class, so both pools are empty
-        bundle, _, _ = standard_benchmark
-        cfg = self.config(
-            iterations=2, hard_count=2, base_model="generative", selection="rs",
-            label_space="all", n_unseen=20, classifier=ClassifierConfig(epochs=40),
+    def test_random_selection_does_not_warn_about_cfbs_pools(self, data_dir):
+        # a cfbs hard-class pool empties on this config, but the ``rs`` arm never draws from it
+        bundle = load_bundle(data_dir)
+        cfg = RunConfig(
+            hard_count=3, iterations=2, n_unseen=40, seed=5, metric="cf",
+            base_model="generative", classifier=ClassifierConfig(epochs=10, batch_size=32),
         )
-        with pytest.warns(UserWarning, match="pseudo-label pool is empty"):
-            preds, trace = run_harst(bundle, cfg)
-        assert len(preds) == bundle.test_unseen.n
-        assert [rec.selected_per_class for rec in trace.records] == [{}, {}]
-
-    def test_random_selection_does_not_warn_about_cfbs_pools(self, standard_benchmark):
-        # the CFBS hard-class pools are empty here, but the ``rs`` arm never draws from them
-        bundle, _, _ = standard_benchmark
-        cfg = self.config(
-            iterations=2, hard_count=2, base_model="generative", selection="rs",
-            label_space="all", n_unseen=20, classifier=ClassifierConfig(epochs=40),
-        )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+        with pytest.warns(UserWarning, match="hard class .* has an empty pseudo-label pool"):
             run_harst(bundle, cfg)
-        assert not [w for w in caught if "hard class" in str(w.message)]
-        assert caught  # the empty random pool still warns
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", message="hard class")
+            run_harst(bundle, replace(cfg, selection="rs"))
 
     def test_self_training_improves_in_the_mean(self):
         gains = []
@@ -355,49 +336,40 @@ def relabel(bundle, rename):
 # a hard class can have an empty pool on these small bundles, in both namings
 @pytest.mark.filterwarnings("ignore:hard class .* has an empty pseudo-label pool")
 @pytest.mark.parametrize("metric", ["cf", "pncf"])
-@pytest.mark.parametrize("label_space", ["unseen", "all"])
 @settings(max_examples=10, deadline=None)
 @given(
     seed=st.integers(0, 2**16),
     names=st.sets(st.text("ab_z019", min_size=1, max_size=5), min_size=11, max_size=11),
     ship_priors=st.booleans(),
 )
-def test_order_preserving_relabel_maps_embedding_predictions(
-    metric, label_space, seed, names, ship_priors
-):
+def test_order_preserving_relabel_maps_embedding_predictions(metric, seed, names, ship_priors):
     """Ties break on class id, so only a relabel that keeps the id order is
     an invariance: predictions and every hard set map through it."""
-    assert_relabel_maps_harst(seed, names, ship_priors, metric=metric, label_space=label_space,
-                              base_model="embedding")
+    assert_relabel_maps_harst(seed, names, ship_priors, metric=metric, base_model="embedding")
 
 
 # the generative base trains a softmax classifier over the sorted class ids,
 # so its label picks follow the class index; a short fit keeps this quick
 @pytest.mark.filterwarnings("ignore:hard class .* has an empty pseudo-label pool")
-@pytest.mark.parametrize("label_space", ["unseen", "all"])
 @settings(max_examples=8, deadline=None)
 @given(
     seed=st.integers(0, 2**16),
     names=st.sets(st.text("ab_z019", min_size=1, max_size=5), min_size=11, max_size=11),
     ship_priors=st.booleans(),
 )
-def test_order_preserving_relabel_maps_generative_predictions(
-    label_space, seed, names, ship_priors
-):
-    assert_relabel_maps_harst(seed, names, ship_priors, metric="cf", label_space=label_space,
-                              base_model="generative", n_unseen=20,
+def test_order_preserving_relabel_maps_generative_predictions(seed, names, ship_priors):
+    assert_relabel_maps_harst(seed, names, ship_priors, metric="cf", base_model="generative",
+                              n_unseen=20,
                               classifier=ClassifierConfig(epochs=20))
 
 
 def assert_relabel_maps_harst(seed, names, ship_priors, **config):
-    from dataclasses import replace as replace_bundle
-
     bundle, _, _ = make_benchmark(BenchmarkSpec(
         seen_count=6, unseen_count=5, semantic_dim=12, visual_dim=6, n_per_class=6,
         hard_pairs=1, affinity_gap=0.2, noise_scale=0.3, seed=seed,
     ))
     if not ship_priors:
-        bundle = replace_bundle(bundle, class_priors=None)
+        bundle = replace(bundle, class_priors=None)
     rename = dict(zip(sorted(bundle.split.all_classes), sorted(names)))
     config = RunConfig(hard_count=2, iterations=3, seed=seed, **config)
     preds, trace = run_harst(bundle, config)
