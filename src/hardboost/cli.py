@@ -24,7 +24,10 @@ from pathlib import Path
 
 from . import __version__, models
 from .benchmark import BenchmarkSpec, make_benchmark
-from .config import RunConfig, _checked, _fields_by_key, load_run_config, read_json, require_frequency_metric
+from .config import (
+    RunConfig, _checked, _field_args, _fields_by_key, load_run_config, read_json,
+    require_frequency_metric,
+)
 from .data import (
     ConfigError,
     DataError,
@@ -120,7 +123,8 @@ def _input_digests(paths) -> dict[str, str]:
         path = Path(path)
         if path.is_dir():
             for child in sorted(path.iterdir()):
-                if child.is_file():
+                # a bundle's own manifest records how long its build took
+                if child.is_file() and child.name != "manifest.json":
                     out[str(child)] = _sha256(child)
         elif path.is_file():
             out[str(path)] = _sha256(path)
@@ -225,21 +229,17 @@ def _cmd_synth(args) -> int:
 
 
 def load_benchmark_spec(path) -> BenchmarkSpec:
-    kinds = {f.name: f.type for f in dataclasses.fields(BenchmarkSpec)}
     obj = read_json(path)
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected a JSON object")
-    unknown = sorted(set(obj) - set(kinds))
-    if unknown:
-        raise ConfigError(f"{path}: unknown key {unknown[0]!r}")
-    for key, value in obj.items():
-        if key != "unseen_counts":
-            _checked(key, value, kinds[key], str(path))
-        elif value is not None:
-            if not isinstance(value, dict):
-                raise ConfigError(f"{path}: unseen_counts must be an object, got {value!r}")
-            for cls, count in value.items():
-                _checked(f"unseen_counts.{cls}", count, "int", str(path))
+    # checked only: the spec keeps each number as the file writes it
+    _field_args(BenchmarkSpec, {k: v for k, v in obj.items() if k != "unseen_counts"}, str(path))
+    counts = obj.get("unseen_counts")
+    if counts is not None:
+        if not isinstance(counts, dict):
+            raise ConfigError(f"{path}: unseen_counts must be an object, got {counts!r}")
+        for cls, count in counts.items():
+            _checked(f"unseen_counts.{cls}", count, "int", str(path))
     try:
         return BenchmarkSpec(**obj)
     except (TypeError, ValueError) as exc:

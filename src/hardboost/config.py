@@ -62,10 +62,6 @@ class RunConfig:
         for name, choices in _CHOICES.items():
             if getattr(self, name) not in choices:
                 raise ConfigError(f"{name} must be one of {sorted(choices)}")
-        if self.classifier.seed != 0:
-            raise ConfigError(
-                "classifier.seed must be 0: each classifier's seed derives from seed"
-            )
 
     def with_seed(self, seed: int) -> "RunConfig":
         return replace(self, seed=seed)
@@ -97,9 +93,6 @@ def require_hard_count_within(config: RunConfig, split: ClassSplit) -> None:
 
 def _checked(key: str, value, kind: str, source: str):
     """``value`` for a field annotated ``kind``; any other JSON type is an error."""
-    if value is None and kind.endswith(" | None"):
-        return None
-    kind = kind.removesuffix(" | None")
     if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
         raise ConfigError(f"{source}: {key} must be of type {kind}, got {value!r}")
     return float(value) if kind == "float" else value

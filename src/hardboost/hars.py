@@ -14,7 +14,7 @@ float32, the dtype the classifier trains in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .models import (
     predict_classifier_batch,
     sample_per_class,
 )
-from .rng import child_seed, substream
+from .rng import substream
 
 
 class PipelineError(RuntimeError):
@@ -273,7 +273,7 @@ def generate_and_classify(
         features,
         labels,
         bundle.split.unseen,
-        replace(config.classifier, seed=child_seed(config.seed, "classifier")),
+        config.classifier,
     )
     preds = _stage("predict", predict_classifier_batch, clf, bundle.test_unseen.features)
     report = _stage("evaluate", evaluate_if_labeled, bundle, preds)

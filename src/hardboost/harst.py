@@ -12,7 +12,7 @@ less.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .config import RunConfig, require_frequency_metric, require_hard_count_within
 from .data import DatasetBundle, validate_bundle
@@ -135,10 +135,9 @@ def run_harst(
     split = bundle.split
 
     def fit_predict(selected, t):
-        clf_seed = child_seed(child_seed(config.seed, "refit", t), "classifier")
         return fit_predict_unseen(
             bundle, selected, config.base_model, config.ridge, config.n_unseen,
-            replace(config.classifier, seed=clf_seed), config.seed, "refit-gen", t,
+            config.classifier, config.seed, "refit-gen", t,
         )
 
     priors = None

@@ -13,9 +13,9 @@ and therefore exactly reproducible.
   own generator, so a large draw shares its classes among the available
   CPUs with the same bytes (:func:`draw_class_rows`).
 * ``Classifier`` is multinomial logistic regression trained by full-batch
-  (optionally mini-batch) gradient descent.  A fit trains in float32: it
-  casts the features once, and its parameters, buffers and updates are
-  float32, while each epoch's loss is computed in float64.  The fitted
+  gradient descent.  A fit trains in float32: it casts the features once,
+  and its parameters, buffers and updates are float32, while each epoch's
+  loss is computed in float64.  The fitted
   weights and bias come back upcast to float64, which is exact, so
   prediction runs in float64.  Every step of a fit runs one kernel,
   :func:`_loss_and_grad_into`, in two buffers allocated once per fit, and
@@ -486,8 +486,6 @@ def draw_class_rows(rows, derive, scale) -> None:
 class ClassifierConfig:
     learning_rate: float = 0.1
     epochs: int = 200
-    batch_size: int | None = None  # None = full batch
-    seed: int = 0
 
     def __post_init__(self):
         # each of these would train nothing, or train away from the labels
@@ -495,8 +493,6 @@ class ClassifierConfig:
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs!r}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError(f"batch_size must be null or >= 1, got {self.batch_size!r}")
 
 
 @dataclass(frozen=True)
@@ -600,15 +596,15 @@ def _probs_into(
     weights: np.ndarray, bias: np.ndarray, feats: np.ndarray,
     buf: np.ndarray, buf_t: np.ndarray, threads: _Threads = _Threads(),
 ) -> np.ndarray:
-    """The softmax of ``feats @ weights.T + bias`` as a C-ordered (classes,
-    rows) view of the first ``classes * len(feats)`` items of flat ``buf_t``.
+    """The softmax of ``feats @ weights.T + bias``, written into ``buf_t``
+    and returned.
 
-    ``buf`` is a C-ordered (rows, classes) buffer with room for
-    ``len(feats)`` rows.  Every array has one dtype, float64 or float32, and
-    every step computes in it.  The logits GEMM keeps the
+    ``buf`` and ``buf_t`` are C-ordered (rows, classes) and (classes, rows)
+    buffers of ``len(feats)`` rows.  Every array has one dtype, float64 or
+    float32, and every step computes in it.  The logits GEMM keeps the
     ``feats @ weights.T`` layout: ``weights @ feats.T`` is slower here and
     rounds differently for some row counts.  The bias add moves the logits
-    into the class-major view, where the max, the exp and the sum over
+    into the class-major ``buf_t``, where the max, the exp and the sum over
     classes run, so each row's sum adds its classes in class order: bit for
     bit the direct form on ``np.ascontiguousarray((feats @ weights.T).T)``.
 
@@ -617,19 +613,16 @@ def _probs_into(
     is the same in a block as in the whole GEMM, since every block is above
     OpenBLAS's small-matrix size, the same size for float32 as for float64.
     """
-    n = feats.shape[0]
-    probs = buf_t[: weights.shape[0] * n].reshape(-1, n)
-
     def block(start: int, stop: int) -> None:
-        logits, cols = buf[start:stop], probs[:, start:stop]
+        logits, cols = buf[start:stop], buf_t[:, start:stop]
         np.matmul(feats[start:stop], weights.T, out=logits)
         np.add(logits.T, bias[:, None], out=cols)
         cols -= cols.max(axis=0)
         np.exp(cols, out=cols)
         cols /= cols.sum(axis=0)
 
-    threads.each(block, _blocks(n, 8, weights.size))
-    return probs
+    threads.each(block, _blocks(len(feats), 8, weights.size))
+    return buf_t
 
 
 def _loss_and_grad_into(
@@ -679,7 +672,7 @@ def cross_entropy_and_grad(
     """Mean cross-entropy of softmax(features @ W.T + b) and its gradients."""
     n, c = features.shape[0], weights.shape[0]
     picks = np.asarray(label_idx) * n + np.arange(n)
-    return _loss_and_grad_into(weights, bias, features, picks, np.empty((n, c)), np.empty(c * n))
+    return _loss_and_grad_into(weights, bias, features, picks, np.empty((n, c)), np.empty((c, n)))
 
 
 def fit_classifier(
@@ -688,7 +681,7 @@ def fit_classifier(
     classes=None,
     config: ClassifierConfig = ClassifierConfig(),
 ) -> Classifier:
-    """Gradient-descent softmax regression; deterministic given the seed.
+    """Full-batch gradient-descent softmax regression, deterministic.
 
     The fit trains in float32: the features are cast once, and the weights,
     bias, softmax buffers and in-place updates are float32.  Each epoch's
@@ -696,14 +689,13 @@ def fit_classifier(
     weights and bias are upcast to float64.  A learning rate or weights
     beyond float32's range end in the "training diverged" error.
 
-    Every epoch reuses the two buffers of :func:`_probs_into`, a mini-batch
-    of ``m`` rows their contiguous ``m``-row prefixes, and updates the
-    parameters in place, so a fit allocates no (rows, classes) array per
-    step.  The full batch's flat label picks are computed once.  When the
-    full batch has more than one row block (:func:`_probs_into`), the fit
-    runs on one thread per available CPU, at most one per block: the
-    helpers live in a pool that this call shuts down, joining them, before
-    it returns.  The bytes do not depend on the fit's thread count.
+    Every epoch reuses the two buffers of :func:`_probs_into` and the flat
+    label picks computed once, and updates the parameters in place, so a
+    fit allocates no (rows, classes) array per epoch.  When the batch has
+    more than one row block (:func:`_probs_into`), the fit runs on one
+    thread per available CPU, at most one per block: the helpers live in a
+    pool that this call shuts down, joining them, before it returns.  The
+    bytes do not depend on the fit's thread count.
     """
     feats = np.asarray(features, dtype=np.float32)
     labels = list(labels)
@@ -722,41 +714,26 @@ def fit_classifier(
     c = len(class_list)
     weights = np.zeros((c, v), dtype=np.float32)
     bias = np.zeros(c, dtype=np.float32)
-    buf, buf_t = np.empty((n, c), dtype=np.float32), np.empty(c * n, dtype=np.float32)
-    rows = np.arange(n)
-    picks = y * n + rows
-    rng = np.random.default_rng(config.seed)
+    buf, buf_t = np.empty((n, c), dtype=np.float32), np.empty((c, n), dtype=np.float32)
+    picks = y * n + np.arange(n)
     history = []
     count = 1 if _one_thread_per_fit else min(available_cpus(), len(_blocks(n, 8, v * c)))
 
-    def full_loss() -> float:
-        probs = _probs_into(weights, bias, feats, buf, buf_t, threads)
-        return _mean_nll(probs.reshape(-1)[picks])
-
-    def step(x: np.ndarray, x_picks: np.ndarray) -> float:
-        nonlocal weights, bias  # updated in place
-        loss, gw, gb = _loss_and_grad_into(weights, bias, x, x_picks, buf, buf_t, threads)
-        gw *= config.learning_rate
-        weights -= gw
-        gb *= config.learning_rate
-        bias -= gb
-        return loss
-
     with _threads(count) as threads:
         for epoch in range(config.epochs):
-            if config.batch_size is None or config.batch_size >= n:
-                history.append(step(feats, picks))
-            else:
-                history.append(full_loss())
-                order = rng.permutation(n)
-                for start in range(0, n, config.batch_size):
-                    chunk = order[start : start + config.batch_size]
-                    step(feats[chunk], y[chunk] * len(chunk) + rows[: len(chunk)])
-            if not (np.isfinite(history[-1]) and np.isfinite(weights).all()):
+            loss, gw, gb = _loss_and_grad_into(weights, bias, feats, picks, buf, buf_t, threads)
+            history.append(loss)
+            gw *= config.learning_rate
+            weights -= gw
+            gb *= config.learning_rate
+            bias -= gb
+            if not (np.isfinite(loss) and np.isfinite(weights).all()):
                 raise ValueError(
                     f"training diverged at epoch {epoch}; lower the learning rate"
                 )
-        history.append(full_loss())
+        # the last update's loss, the only check of its logits
+        probs = _probs_into(weights, bias, feats, buf, buf_t, threads)
+        history.append(_mean_nll(probs.reshape(-1)[picks]))
     if not np.isfinite(history[-1]):
         raise ValueError(
             f"training diverged at epoch {config.epochs - 1}; lower the learning rate"

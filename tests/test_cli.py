@@ -45,8 +45,6 @@ RUN_CONFIGS = st.builds(
         ClassifierConfig,
         learning_rate=st.floats(min_value=0, exclude_min=True, allow_infinity=False),
         epochs=st.integers(min_value=1),
-        batch_size=st.none() | st.integers(min_value=1),
-        seed=st.just(0),
     ),
 )
 
@@ -202,12 +200,17 @@ class TestPipelines:
         assert manifest["inputs"]
 
     def test_hars_reruns_are_byte_identical(self, data_dir, tmp_path):
+        data = shutil.copytree(data_dir, tmp_path / "data")
         cfg = write_config(tmp_path / "cfg.json")
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
             assert dispatch(
-                ["hars", "--data", str(data_dir), "--config", str(cfg), "--out", str(out)]
+                ["hars", "--data", str(data), "--config", str(cfg), "--out", str(out)]
             ) == 0
+            # a rebuild to the same bytes changes the bundle manifest's duration alone
+            built = json.loads((data / "manifest.json").read_text())
+            built["duration_seconds"] += 1
+            (data / "manifest.json").write_text(json.dumps(built))
         for name in ("predictions.csv", "hardness.json", "report.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
         m1 = json.loads((out1 / "manifest.json").read_text())
@@ -247,7 +250,7 @@ class TestPipelines:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("batch_size", -3), ("epochs", -5), ("learning_rate", 0.0)],
+        [("epochs", -5), ("learning_rate", 0.0)],
     )
     def test_hars_rejects_a_classifier_that_cannot_train(
         self, field, value, data_dir, tmp_path, capsys
@@ -284,13 +287,13 @@ class TestPipelines:
 
     @pytest.mark.parametrize("command", ["hars", "harst"])
     def test_classifier_seed_is_rejected(self, command, data_dir, tmp_path, capsys):
-        # each classifier's seed derives from seed, so this key reached no fit
+        # the full-batch fit draws nothing, so the classifier takes no seed
         cfg = write_config(tmp_path / "cfg.json", T=2, metric="cf", base_model="embedding",
                            classifier={"seed": 9})
         out = tmp_path / "run"
         code = dispatch([command, "--data", str(data_dir), "--config", str(cfg), "--out", str(out)])
         assert code == 2
-        assert f"{cfg}: classifier.seed must be 0" in capsys.readouterr().err
+        assert f"{cfg}: unknown key 'classifier.seed'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_harst_reruns_are_byte_identical(self, data_dir, tmp_path):
@@ -752,14 +755,24 @@ class TestRunConfigFile:
         with pytest.raises(ConfigError, match="bogus"):
             parse_run_config({"bogus": 1})
 
-    @pytest.mark.parametrize("space", ["unseen", "all"])
-    def test_a_label_space_key_fails_the_run(self, space, data_dir, tmp_path, capsys):
-        # harst predicts over the unseen classes alone; the retired key is not ignored
-        cfg = write_config(tmp_path / "cfg.json", metric="cf", label_space=space)
+    @pytest.mark.parametrize(
+        "key, overrides",
+        [
+            # harst predicts over the unseen classes alone
+            ("label_space", {"label_space": "unseen"}),
+            # the classifier trains full-batch and draws nothing
+            ("classifier.batch_size", {"classifier": {"batch_size": None}}),
+            ("classifier.seed", {"classifier": {"seed": 0}}),
+        ],
+        ids=["label_space", "classifier.batch_size", "classifier.seed"],
+    )
+    def test_a_retired_key_fails_the_run(self, key, overrides, data_dir, tmp_path, capsys):
+        # even a retired key's old default is not ignored
+        cfg = write_config(tmp_path / "cfg.json", metric="cf", **overrides)
         out = tmp_path / "run"
         code = dispatch(["harst", "--data", str(data_dir), "--config", str(cfg), "--out", str(out)])
         assert code == 2
-        assert f"error: {cfg}: unknown key 'label_space'" in capsys.readouterr().err
+        assert f"error: {cfg}: unknown key '{key}'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_classifier_key_rejected(self):
@@ -782,7 +795,7 @@ class TestRunConfigFile:
 
     def test_default_digest_is_pinned(self):
         # manifest config_hash values of earlier runs depend on this
-        expected = "8df9f7c3acacda3ddcb8f5015bbe08dd99974148aed1120e4bb0422da02e32e7"
+        expected = "d2e0cdf2ee8a4d2c03cff553a945b4089b063c92ea45e0868b6c0138cc4a2127"
         assert RunConfig().digest() == expected
         assert parse_run_config({}).digest() == expected
 
@@ -809,7 +822,7 @@ class TestRunConfigFile:
             ({"selection": "bogus"}, "selection"),
             ({"base_model": "nope"}, "base_model"),
             ({"classifier": {"epochs": 3.5}}, "classifier.epochs"),
-            ({"classifier": {"batch_size": False}}, "classifier.batch_size"),
+            ({"classifier": {"epochs": False}}, "classifier.epochs"),
             ({"classifier": {"learning_rate": None}}, "classifier.learning_rate"),
         ],
     )
@@ -818,9 +831,10 @@ class TestRunConfigFile:
             parse_run_config(obj)
 
     def test_numbers_keep_their_meaning(self):
-        config = parse_run_config({"alpha": 1, "classifier": {"batch_size": None}})
+        config = parse_run_config({"alpha": 1, "classifier": {"learning_rate": 1}})
         assert config.alpha == 1.0 and isinstance(config.alpha, float)
-        assert config.classifier.batch_size is None
+        assert config.classifier.learning_rate == 1.0
+        assert isinstance(config.classifier.learning_rate, float)
 
 
 class TestPredictionsFile:

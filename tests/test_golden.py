@@ -7,10 +7,10 @@ the sha256 of its label and count outputs with the value recorded when the
 case was added.  One more case hashes the synthesized rows themselves, the
 interpolated virtual rows with their mixing weights and sources and the
 generated unseen rows, since a small bit change there can leave every
-prediction unchanged.  For the same reason two cases hash the weights, bias
-and loss history of a full-batch and of a mini-batch classifier fit.  Two
-sweeps pin the text of the error rows that out-of-range grid points record.  A changed
-digest means changed output bytes, which must be declared.
+prediction unchanged.  For the same reason one case hashes the weights, bias
+and loss history of a classifier fit.  Two sweeps pin the text of the error
+rows that out-of-range grid points record.  A changed digest means changed
+output bytes, which must be declared.
 """
 
 import contextlib
@@ -28,8 +28,7 @@ from hardboost.config import RunConfig
 from hardboost.hars import run_generative_baseline, synthesize_hard_seen, synthesize_unseen
 from hardboost.models import ClassifierConfig, fit_classifier, fit_generator
 
-# mini-batches, so the outputs depend on each classifier's seed
-_CLF = {"epochs": 10, "batch_size": 32}
+_CLF = {"epochs": 10}
 _HARST = {"K": 3, "T": 2, "N_u": 40, "seed": 5, "metric": "cf",
           "base_model": "generative", "classifier": _CLF}
 _EMBEDDING = {"K": 3, "T": 3, "seed": 5, "base_model": "embedding"}
@@ -41,8 +40,8 @@ EMPTY_POOL = {"harst-generative-unseen"}
 RUNS = {
     "harst-generative-unseen": (
         ["harst"], _HARST,
-        {"predictions.csv": "ceaccfde4e3090ca862d29ccc7d5296f69c7c7c699c8fa881a1394b2a2d44e9d",
-         "trace.json": "738152b875a498b476d7ca6248bda1ee7ccdc6f136aa7b28450075f3094df95a"},
+        {"predictions.csv": "96ea172611714598980d9de75366f4ff90ac55fe49666b71b0470387460829ed",
+         "trace.json": "66f02145ed951856d0cd3eda0afe05fd0cdd79f3f67dc71086e51dcb4256aa1b"},
     ),
     "harst-embedding-unseen": (
         ["harst"], {**_EMBEDDING, "metric": "cf"},
@@ -56,8 +55,8 @@ RUNS = {
     ),
     "hars": (
         ["hars"], {"K": 4, "N_u": 20, "seed": 5, "classifier": _CLF},
-        {"predictions.csv": "fc22b03c2471caab330b31ac5dbbab70d93237e61cc0ccf5d7b5ebf15826f478",
-         "report.json": "677bb0d4ee37b5e25d364b4bb59d7dc0063913d1549a1bf81af6fea7ac540d87"},
+        {"predictions.csv": "235b719d8e7b5f3a83784f8d16114652a267cccddabb37b2535930d9ebc14f9c",
+         "report.json": "fab1ac1a4fb63079973369f37990b53af33121495cbf45a3fcffabf8c6654793"},
     ),
     # the default classifier: 200 full-batch epochs, as the timed runs train
     "hars-full-batch": (
@@ -72,25 +71,20 @@ RUNS = {
 SWEEPS = {
     "hars": ("hars", {"N_u": 20, "seed": 5, "classifier": _CLF},
              {"K": [0, 2, 999], "beta": [0.5, 2]},
-             "8b38de435bd4cb6024f7224213c1f1453e1cbf638ae5bd79f2478d1b4ecf1429"),
+             "59811d7b6da441544a42b2dee6b57066a5a264cb8ebbaa0f8f24f66b6884a8a8"),
     "harst": ("harst", {**_EMBEDDING, "metric": "cf"},
               {"K": [0, 2], "T": [0, 2]},
               "7562046bf48649d66c06a3419d76fb41316a40594281007e9a13816e47b95b16"),
 }
 
-# batch 8, not 32: at 32 the baseline's predictions do not depend on its classifier seed
-BASELINE = "2117b778ed7a86c45905d5ba8d183f4b65f80cfb072f5caabe0de8d3625c61c9"
+BASELINE = "e433b442749a2ba1da09901740551210ab10620c05dae24f50af6b61d81dc4a4"
 
 # prediction digests are argmax-robust; this pins the synthesized rows' bits
 # (the generated unseen rows are float32, each class drawn in float64 and cast)
 SYNTH = "22005a9622050ba9f6dab543d7c9e02fae2532f9af0cf8c1d34823e7fda20168"
 
-# batch size -> digest of weights, bias and loss history of one classifier fit
-# (203 rows, 10 classes); a batch of 16 leaves a short last batch of 11 rows
-FITS = {
-    None: "9a391979e3d299a3899d8078206fe3539cbe157b3f54a1a197754d84e948930c",
-    16: "c368f7282d06de6e0ae538770a410c4527bc1540e07820cd8a81a48fb6b1256f",
-}
+# digest of weights, bias and loss history of one classifier fit (203 rows, 10 classes)
+FIT = "9a391979e3d299a3899d8078206fe3539cbe157b3f54a1a197754d84e948930c"
 
 # name -> (analyze flags after --mode contrastive, digest of contrastive.json)
 CONTRASTIVE = {
@@ -153,25 +147,23 @@ def test_sweep_error_rows_are_pinned(name, data_dir, tmp_path):
 def test_generative_baseline_outputs_are_pinned(data_dir):
     config = RunConfig(
         hard_count=4, n_unseen=20, seed=5,
-        classifier=ClassifierConfig(epochs=10, batch_size=8),
+        classifier=ClassifierConfig(**_CLF),
     )
     preds, report = run_generative_baseline(load_bundle(data_dir), config)
     digest = hashlib.sha256(("\n".join(preds) + repr(report.acc_u)).encode()).hexdigest()
     assert digest == BASELINE
 
 
-@pytest.mark.parametrize("batch_size", sorted(FITS, key=str))
-def test_classifier_fit_bits_are_pinned(batch_size):
+def test_classifier_fit_bits_are_pinned():
     rng = np.random.default_rng(7)
     classes = [f"c{i}" for i in range(10)]
     y = rng.integers(0, 10, size=203)
     features = rng.standard_normal((10, 16))[y] + rng.standard_normal((203, 16))
-    config = ClassifierConfig(learning_rate=0.3, epochs=60 if batch_size is None else 6,
-                              batch_size=batch_size, seed=4)
+    config = ClassifierConfig(learning_rate=0.3, epochs=60)
     model = fit_classifier(features, [classes[i] for i in y], classes, config)
     digest = hashlib.sha256(model.weights.tobytes() + model.bias.tobytes())
     digest.update(repr(model.loss_history).encode())
-    assert digest.hexdigest() == FITS[batch_size]
+    assert digest.hexdigest() == FIT
 
 
 def test_synthesized_rows_are_pinned(data_dir):

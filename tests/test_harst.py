@@ -284,7 +284,7 @@ class TestRunHarst:
         bundle = load_bundle(data_dir)
         cfg = RunConfig(
             hard_count=3, iterations=2, n_unseen=40, seed=5, metric="cf",
-            base_model="generative", classifier=ClassifierConfig(epochs=10, batch_size=32),
+            base_model="generative", classifier=ClassifierConfig(epochs=10),
         )
         with pytest.warns(UserWarning, match="hard class .* has an empty pseudo-label pool"):
             run_harst(bundle, cfg)
