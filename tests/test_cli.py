@@ -755,16 +755,24 @@ class TestRunConfigFile:
         with pytest.raises(ConfigError, match="bogus"):
             parse_run_config({"bogus": 1})
 
+    @pytest.mark.parametrize("space", ["unseen", "all"])
+    def test_a_label_space_key_fails_the_run(self, space, data_dir, tmp_path, capsys):
+        # harst predicts over the unseen classes alone; the retired key is not ignored
+        cfg = write_config(tmp_path / "cfg.json", metric="cf", label_space=space)
+        out = tmp_path / "run"
+        code = dispatch(["harst", "--data", str(data_dir), "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert f"error: {cfg}: unknown key 'label_space'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "key, overrides",
         [
-            # harst predicts over the unseen classes alone
-            ("label_space", {"label_space": "unseen"}),
             # the classifier trains full-batch and draws nothing
             ("classifier.batch_size", {"classifier": {"batch_size": None}}),
             ("classifier.seed", {"classifier": {"seed": 0}}),
         ],
-        ids=["label_space", "classifier.batch_size", "classifier.seed"],
+        ids=["classifier.batch_size", "classifier.seed"],
     )
     def test_a_retired_key_fails_the_run(self, key, overrides, data_dir, tmp_path, capsys):
         # even a retired key's old default is not ignored
