@@ -33,6 +33,7 @@ from .data import (
     DataError,
     ValidationError,
     atomic_write_text,
+    decode_errors_named,
     dump_json,
     load_bundle,
     write_bundle,
@@ -149,10 +150,10 @@ def _write_predictions(preds, path) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def load_predictions(path) -> list[str]:
-    """Read a predictions CSV; rows must cover 0..n-1 exactly."""
+def load_predictions(path, classes) -> list[str]:
+    """Read a predictions CSV of ``classes``; rows must cover 0..n-1 exactly."""
     by_index: dict[int, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, decode_errors_named(path):
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or (lineno == 1 and line.startswith("row_index")):
@@ -168,6 +169,8 @@ def load_predictions(path) -> list[str]:
                 ) from None
             if idx in by_index:
                 raise DataError(f"{path}: line {lineno}: duplicate row index {idx}")
+            if parts[1] not in classes:
+                raise DataError(f"{path}: line {lineno}: {parts[1]!r} is not a class of the split")
             by_index[idx] = parts[1]
     if set(by_index) != set(range(len(by_index))):
         raise DataError(f"{path}: row indices must cover 0..{len(by_index) - 1}")
@@ -175,8 +178,8 @@ def load_predictions(path) -> list[str]:
 
 
 def _test_unseen_predictions(path, bundle) -> list[str]:
-    """Read a predictions CSV that must hold one row per unseen test row."""
-    preds = load_predictions(path)
+    """Read a predictions CSV of the split's classes, one row per unseen test row."""
+    preds = load_predictions(path, bundle.split.all_classes)
     if len(preds) != bundle.test_unseen.n:
         raise DataError(f"{path}: {len(preds)} predictions for {bundle.test_unseen.n} test rows")
     return preds
@@ -248,6 +251,8 @@ def load_benchmark_spec(path) -> BenchmarkSpec:
 
 def _hardness_for(args, bundle) -> HardnessReport:
     if args.metric == "ss":
+        if args.preds:
+            raise _UsageError("--preds is not read with metric 'ss'")
         return HardnessReport.from_scores("ss", ss_scores(bundle.semantics, bundle.split), args.k)
     if not args.preds:
         raise _UsageError(f"--preds is required for metric {args.metric!r}")
@@ -345,12 +350,14 @@ def _cmd_eval(args) -> int:
 
 def _cmd_analyze(args) -> int:
     started = time.monotonic()
+    if args.mode == "identification" and not (args.preds and args.hardness):
+        raise _UsageError("identification mode needs --preds and --hardness")
+    if args.mode == "contrastive" and (args.preds or args.hardness):
+        raise _UsageError("contrastive mode reads neither --preds nor --hardness")
     bundle = load_bundle(args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.mode == "identification":
-        if not (args.preds and args.hardness):
-            raise _UsageError("identification mode needs --preds and --hardness")
         preds = _test_unseen_predictions(args.preds, bundle)
         report = evaluate(preds, list(bundle.test_unseen.labels), bundle.split)
         hardness = HardnessReport.read_json(args.hardness)

@@ -7,7 +7,7 @@ import json
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
-from .data import ClassSplit, ConfigError
+from .data import ClassSplit, ConfigError, decode_errors_named
 from .models import ClassifierConfig
 
 METRICS = ("cf", "pncf")  # the frequency metrics, the only ones harst takes
@@ -137,7 +137,8 @@ def parse_run_config(obj: dict, source: str = "config") -> RunConfig:
 def read_json(path):
     """The JSON value in the file at ``path``; bad JSON is a :class:`ConfigError`."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        with decode_errors_named(path, ConfigError):
+            return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
 

@@ -19,6 +19,7 @@ read-only) and safe to share across threads.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -51,6 +52,15 @@ class ConfigError(ValueError):
     """A run configuration file is malformed."""
 
 
+@contextlib.contextmanager
+def decode_errors_named(path, error: type[ValueError] = DataError):
+    """Raise a ``UnicodeDecodeError`` from the block as ``error`` naming ``path``."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr)
     arr.flags.writeable = False
@@ -70,6 +80,25 @@ def _first_nonfinite_row(feats: np.ndarray) -> int | None:
         if bad.size:
             return start + int(bad[0])
     return None
+
+
+def row_moments(
+    rows: np.ndarray, scatter: bool = False
+) -> tuple[np.ndarray, int, np.ndarray | None]:
+    """Float64 mean and count of ``rows`` and, with ``scatter``, the
+    per-feature sum of squared deviations from that mean, the rows summed in
+    their order.
+
+    Every class statistic a fit reads comes from here, whether a table
+    caches it or a refit computes it for selected rows, so equal rows in
+    equal order give equal bits.
+    """
+    rows = rows.astype(np.float64)
+    mean = rows.mean(axis=0)
+    if not scatter:
+        return mean, len(rows), None
+    rows -= mean
+    return mean, len(rows), np.square(rows, out=rows).sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -126,36 +155,12 @@ class FeatureTable:
         rows = index.get(label)
         return np.empty(0, dtype=np.intp) if rows is None else rows.copy()
 
-    def class_mean(self, label: str, extra: np.ndarray | None = None) -> tuple[np.ndarray, int]:
-        """Float64 mean row and row count of ``label``'s rows followed by ``extra``.
-
-        The mean is that of one table holding ``label``'s rows, in ascending
-        order, followed by the rows of ``extra`` in their order.  Every class
-        mean of a feature table is computed here, so a merge of cached means
-        and extra rows gives the bits a merged table would.
-        """
-        rows = self._class_rows(label, extra)
-        return rows.mean(axis=0), len(rows)
-
-    def class_scatter(self, label: str, extra: np.ndarray | None = None) -> np.ndarray:
-        """Float64 per-feature sum of squared deviations of the rows of
-        :meth:`class_mean` from that mean, the rows summed in its order."""
-        rows = self._class_rows(label, extra)
-        rows -= rows.mean(axis=0)
-        return np.square(rows, out=rows).sum(axis=0)
-
-    def _class_rows(self, label: str, extra: np.ndarray | None) -> np.ndarray:
-        rows = self.features[self.rows_for(label)]
-        if extra is not None:
-            rows = np.concatenate([rows, extra])
-        return rows.astype(np.float64)
-
     def class_stats(self) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
         """Sorted class ids, their float64 mean rows and their row counts.
 
-        Class ``k``'s mean and count are :meth:`class_mean` of ``k``.  The
-        first call computes them and caches them, read-only, so every later
-        call returns the same arrays.
+        Class ``k``'s are :func:`row_moments` of its rows, in ascending
+        order.  The first call computes them and caches them, read-only, so
+        every later call returns the same arrays.
         """
         stats = self.__dict__.get("_class_stats")
         if stats is None:
@@ -163,13 +168,14 @@ class FeatureTable:
             means = np.empty((len(labels), self.dim))
             counts = np.empty(len(labels), dtype=np.intp)
             for k, cls in enumerate(labels):
-                means[k], counts[k] = self.class_mean(cls)
+                means[k], counts[k], _ = row_moments(self.features[self.rows_for(cls)])
             stats = (labels, _freeze(means), _freeze(counts))
             object.__setattr__(self, "_class_stats", stats)
         return stats
 
     def class_scatters(self) -> np.ndarray:
-        """Row ``k`` is :meth:`class_scatter` of class ``k`` of :meth:`class_stats`.
+        """Row ``k`` is the :func:`row_moments` scatter of class ``k`` of
+        :meth:`class_stats`.
 
         Only a generator fit reads these, so they are cached apart from the
         means: the first call computes them and caches them, read-only.
@@ -179,7 +185,7 @@ class FeatureTable:
             labels = self.class_stats()[0]
             scatters = np.empty((len(labels), self.dim))
             for k, cls in enumerate(labels):
-                scatters[k] = self.class_scatter(cls)
+                scatters[k] = row_moments(self.features[self.rows_for(cls)], scatter=True)[2]
             scatters = _freeze(scatters)
             object.__setattr__(self, "_class_scatters", scatters)
         return scatters
@@ -411,7 +417,8 @@ def load_feature_table(path) -> FeatureTable:
         if label_len:
             raise DataError(f"{name}: label block present but row count is 0")
     else:
-        labels = raw[offset:].decode("utf-8").split("\n")
+        with decode_errors_named(name):
+            labels = raw[offset:].decode("utf-8").split("\n")
         if len(labels) != rows:
             raise DataError(
                 f"{name}: {len(labels)} labels for {rows} rows"
@@ -430,7 +437,7 @@ def load_semantic_table(path) -> SemanticTable:
     name = str(path)
     vectors: dict[str, np.ndarray] = {}
     dim = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, decode_errors_named(name):
         for lineno, line in enumerate(fh):
             line = line.strip()
             if not line:
@@ -475,7 +482,8 @@ def _semantic_lines(table: SemanticTable):
 def load_json(path):
     """The parsed contents of a JSON file; malformed JSON is a ``DataError``."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        with decode_errors_named(path):
+            return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON: {exc}") from None
 
@@ -601,5 +609,8 @@ def write_bundle(bundle: DatasetBundle, directory) -> None:
         raise errors[0]
     atomic_write_text(directory / _BUNDLE_FILES["semantics"], "".join(lines))
     write_split(bundle.split, directory / _BUNDLE_FILES["split"])
-    if bundle.class_priors is not None:
-        write_priors(bundle.class_priors, directory / _BUNDLE_FILES["priors"])
+    priors = directory / _BUNDLE_FILES["priors"]
+    if bundle.class_priors is None:
+        priors.unlink(missing_ok=True)  # a priors.json of an earlier write is stale
+    else:
+        write_priors(bundle.class_priors, priors)

@@ -37,10 +37,10 @@ once however often the table is fitted.
 
 :func:`fit_predict_unseen` is the transductive refit that ``harst`` and the
 contrastive study share: fit either base on the seen training rows plus
-selected (test row, label) pairs, then label every unseen test row with an
-unseen class.  Both bases merge the selected rows into the seen rows'
-cached statistics (:func:`_class_means`) instead of building the merged
-table.
+selected (test row, unseen label) pairs, then label every unseen test row
+with an unseen class.  Seen classes keep their cached statistics, and each
+selected class is computed from its selected rows alone
+(:func:`_class_means`); no merged table is built.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .data import DatasetBundle, FeatureTable, SemanticTable
+from .data import DatasetBundle, FeatureTable, SemanticTable, row_moments
 from .rng import child_seed
 
 if TYPE_CHECKING:
@@ -80,22 +80,23 @@ def _class_means(
     selected=(), scatter: bool = False,
 ) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
     """Sorted class ids, float64 class means, row counts, semantic rows and,
-    with ``scatter``, float64 squared-deviation sums of ``table`` with the
-    ``selected`` (row of ``extra``, label) pairs appended.
+    with ``scatter``, float64 squared-deviation sums of ``table``'s classes
+    and of the classes the ``selected`` (row of ``extra``, label) pairs name.
 
-    The result is bit for bit that of one table holding ``table``'s rows
-    followed by the selected rows in selection order, but no such table is
-    built.  A class no pair names keeps the statistics that ``table`` caches
-    (:meth:`~hardboost.data.FeatureTable.class_stats` and
-    :meth:`~hardboost.data.FeatureTable.class_scatters`); a class some pair
-    names is computed again over its rows of ``table`` followed by its
-    selected rows.
+    ``table``'s classes keep the statistics it caches; each selected class
+    is computed from its selected rows alone, in selection order, by
+    :func:`~hardboost.data.row_moments` as the cache is, so the bits are
+    those of one table holding both.  A selected label that is a class of
+    ``table`` is a ``ValueError``.
     """
     seen, seen_means, seen_counts = table.class_stats()
     seen_scatters = table.class_scatters() if scatter else None
     picks: dict[str, list[int]] = {}
     for row, label in selected:
         picks.setdefault(label, []).append(row)
+    clash = sorted(picks.keys() & seen)
+    if clash:
+        raise ValueError(f"selected label {clash[0]!r} is a class of the training table")
     labels = sorted(picks.keys() | seen)
     if not labels:
         raise ValueError("cannot fit on an empty table")
@@ -104,20 +105,19 @@ def _class_means(
             raise ValueError(f"training label {cls!r} has no semantic vector")
     if not picks:
         return labels, seen_means, seen_counts, semantics.matrix(labels), seen_scatters
-    at = {cls: k for k, cls in enumerate(seen)}
+    at = {cls: k for k, cls in enumerate(labels)}
+    own = [at[cls] for cls in seen]
     means = np.empty((len(labels), table.dim))
     counts = np.empty(len(labels), dtype=np.intp)
+    means[own], counts[own] = seen_means, seen_counts
     scatters = np.empty_like(means) if scatter else None
-    for k, cls in enumerate(labels):
-        rows = picks.get(cls)
-        if rows is None:
-            means[k], counts[k] = seen_means[at[cls]], seen_counts[at[cls]]
-        else:
-            means[k], counts[k] = table.class_mean(cls, extra[rows])
+    if scatter:
+        scatters[own] = seen_scatters
+    for cls, rows in picks.items():  # one class's rows in float64 at a time
+        k = at[cls]
+        means[k], counts[k], sq_dev = row_moments(extra[rows], scatter)
         if scatter:
-            scatters[k] = (
-                seen_scatters[at[cls]] if rows is None else table.class_scatter(cls, extra[rows])
-            )
+            scatters[k] = sq_dev
     return labels, means, counts, semantics.matrix(labels), scatters
 
 
@@ -316,9 +316,9 @@ def fit_generator(
     """Ridge-regress group means on semantic vectors; pool residual variance.
 
     Real classes form one group each (their class mean against the class
-    semantic vector).  Their rows are ``train``'s plus the ``selected`` (row
-    of ``extra``, label) pairs, merged into ``train``'s cached statistics as
-    :func:`_class_means` merges them, so the fit is bit for bit the fit on
+    semantic vector): ``train``'s classes, and the classes the ``selected``
+    (row of ``extra``, label) pairs name, none of them a class of ``train``
+    (:func:`_class_means`), so the fit is bit for bit the fit on
     one table holding both.  Synthesized rows, which carry continuous
     interpolated semantic vectors, are interpolated straight into the tails
     of the one design and target array, then group by the exact bytes of
@@ -781,9 +781,9 @@ def fit_predict_unseen(
     ``n_per_class`` rows per unseen class from ``(seed, *stream)``, and
     trains a softmax classifier on those rows alone with ``classifier``.
 
-    Neither base builds a merged table: classes without selected rows keep
-    the seen table's cached statistics, and only the classes the selection
-    names are computed again, bit for bit as the merged table would give them.
+    The selected labels must be unseen classes.  Neither base builds a
+    merged table: the seen classes keep their cached statistics, and each
+    selected class is computed from its selected rows alone.
     """
     train, test = bundle.train_seen, bundle.test_unseen.features
     unseen = sorted(bundle.split.unseen)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -15,12 +16,17 @@ import hardboost
 from hardboost import hars as hars_module
 from hardboost import models
 from hardboost.cli import dispatch, load_predictions
-from hardboost.config import RunConfig, load_run_config, parse_run_config, require_frequency_metric
+from hardboost.config import (
+    RunConfig, load_run_config, parse_run_config, read_json, require_frequency_metric,
+)
 from hardboost.data import (
     ConfigError,
+    DataError,
     FeatureTable,
     load_bundle,
     load_feature_table,
+    load_json,
+    load_semantic_table,
     write_feature_table,
 )
 from hardboost.hars import PipelineError, run_hars
@@ -189,7 +195,7 @@ class TestPipelines:
             ["hars", "--data", str(data_dir), "--config", str(cfg), "--out", str(out)]
         )
         assert code == 0
-        preds = load_predictions(out / "predictions.csv")
+        preds = load_predictions(out / "predictions.csv", load_bundle(data_dir).split.unseen)
         assert len(preds) == 8 * 20
         report = json.loads((out / "report.json").read_text())
         assert 0.0 <= report["acc_u"] <= 1.0
@@ -391,6 +397,47 @@ class TestEvalAndAnalyze:
         assert code == 0
         result = json.loads((out / "contrastive.json").read_text())
         assert set(result) == {"easy-weighted", "hard-weighted", "uniform"}
+
+
+class TestPredictionsAtTheEdge:
+    COMMANDS = {
+        "eval": ["eval"],
+        "analyze": ["analyze", "--mode", "identification"],
+        "identify": ["identify", "--metric", "cf", "--k", "2"],
+    }
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_a_class_outside_the_split_names_the_file_and_line(
+        self, command, data_dir, tmp_path, capsys
+    ):
+        preds = tmp_path / "preds.csv"
+        preds.write_text("row_index,predicted_class\n" + "".join(
+            f"{i},{'zz' if i == 2 else 'u00'}\n" for i in range(load_bundle(data_dir).test_unseen.n)
+        ))
+        hardness = tmp_path / "hardness.json"
+        hardness.write_text(json.dumps({"metric": "cf", "scores": {}, "hard": [], "K": 0}))
+        argv = self.COMMANDS[command] + ["--data", str(data_dir), "--preds", str(preds)]
+        if command == "analyze":
+            argv += ["--hardness", str(hardness)]
+        assert dispatch(argv + ["--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {preds}: line 4: 'zz' is not a class of the split" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["identify", "--metric", "ss", "--k", "2", "--preds", "unread.csv"],
+         "--preds is not read with metric 'ss'"),
+        (["analyze", "--mode", "contrastive", "--preds", "unread.csv"],
+         "contrastive mode reads neither --preds nor --hardness"),
+        (["analyze", "--mode", "contrastive", "--hardness", "unread.json"],
+         "contrastive mode reads neither --preds nor --hardness"),
+    ], ids=["identify-ss-preds", "contrastive-preds", "contrastive-hardness"])
+    def test_an_option_the_command_does_not_read_is_a_usage_error(
+        self, argv, message, data_dir, tmp_path, capsys
+    ):
+        out = tmp_path / "o"
+        assert dispatch(argv + ["--data", str(data_dir), "--out", str(out)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestBadJsonInputs:
@@ -845,17 +892,48 @@ class TestRunConfigFile:
         assert isinstance(config.classifier.learning_rate, float)
 
 
+def _feature_table_bytes_with_bad_label(path):
+    write_feature_table(FeatureTable(features=[[1.0, 2.0]], labels=("ab",)), path)
+    return path.read_bytes()[:-1] + b"\xff"
+
+
+@pytest.mark.parametrize("reader, error, content", [
+    (load_feature_table, DataError, _feature_table_bytes_with_bad_label),
+    (load_semantic_table, DataError, b"a,1.0\nb\xff,2.0\n"),
+    (load_json, DataError, b'{"a": "\xff"}'),
+    (read_json, ConfigError, b'{"a": "\xff"}'),
+    (lambda path: load_predictions(path, {"a"}), DataError,
+     b"row_index,predicted_class\n0,\xff\n"),
+], ids=["feature-table", "semantic-table", "load_json", "read_json", "predictions"])
+def test_non_utf8_input_is_an_error_naming_its_file(tmp_path, reader, error, content):
+    path = tmp_path / "input"
+    path.write_bytes(content(path) if callable(content) else content)
+    with pytest.raises(error, match=re.escape(f"{path}: not UTF-8 text (")):
+        reader(path)
+
+
+def test_a_bundle_file_that_is_not_utf8_exits_2_naming_it(data_dir, tmp_path, capsys):
+    data = shutil.copytree(data_dir, tmp_path / "data")
+    semantics = data / "semantics.csv"
+    semantics.write_bytes(semantics.read_bytes().replace(b"s01", b"s\xff1", 1))
+    cfg = write_config(tmp_path / "cfg.json")
+    code = dispatch(["hars", "--data", str(data), "--config", str(cfg),
+                     "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"error: {semantics}: not UTF-8 text (" in capsys.readouterr().err
+
+
 class TestPredictionsFile:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("row_index,predicted_class\n0,a\n1,b\n2,a\n")
-        assert load_predictions(path) == ["a", "b", "a"]
+        assert load_predictions(path, {"a", "b"}) == ["a", "b", "a"]
 
     def test_gap_in_indices_rejected(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("row_index,predicted_class\n0,a\n2,b\n")
         with pytest.raises(Exception, match="cover"):
-            load_predictions(path)
+            load_predictions(path, {"a", "b"})
 
     def eval_exit_code(self, data_dir, tmp_path, *rows):
         path = tmp_path / "bad.csv"

@@ -361,6 +361,17 @@ def test_bundle_directory_round_trip(tmp_path, standard_benchmark):
         np.testing.assert_allclose(loaded.semantics[cls], vec, atol=1e-15)
 
 
+def test_rewriting_a_bundle_without_priors_removes_its_priors_file(tmp_path, standard_benchmark):
+    bundle, _, _ = standard_benchmark
+    write_bundle(bundle, tmp_path)
+    (tmp_path / "notes.txt").write_text("kept")
+    write_bundle(dataclasses.replace(bundle, class_priors=None), tmp_path)
+    assert load_bundle(tmp_path).class_priors is None
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "notes.txt", "semantics.csv", "split.json", "test_unseen.zsf", "train_seen.zsf",
+    ]
+
+
 def test_bundle_files_do_not_depend_on_the_helper_thread(tmp_path, standard_benchmark, monkeypatch):
     bundle, _, _ = standard_benchmark
     for gate, name in ((0, "helper"), (1 << 62, "serial")):

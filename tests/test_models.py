@@ -469,23 +469,21 @@ class TestFitPredictUnseen:
         preds = fit_predict_unseen(bundle, *args)
         assert fit_predict_unseen(shuffled, *args) == [preds[i] for i in perm]
 
-    # repeated rows, rows given a seen label and the empty selection
+    # repeated rows and the empty selection
     merges = dict(
         counts=st.lists(st.integers(1, 7), min_size=1, max_size=5),
         unseen=st.integers(1, 4),
         test_rows=st.integers(1, 12),
         picks=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 8)), max_size=25),
-        all_classes=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
 
     @staticmethod
-    def merge(counts, unseen, test_rows, picks, all_classes, seed):
+    def merge(counts, unseen, test_rows, picks, seed):
         """A seen table, test rows, a selection, and the table they merge into."""
         rng = np.random.default_rng(seed)
         seen = [f"s{i}" for i in range(len(counts))]
-        space = seen + [f"u{i}" for i in range(unseen)] if all_classes else \
-            [f"u{i}" for i in range(unseen)]
+        space = [f"u{i}" for i in range(unseen)]
         sem = SemanticTable(vectors={c: rng.normal(size=3) for c in seen + space})
         labels = [c for c, n in zip(seen, counts) for _ in range(n)]
         # magnitudes 2**-30..2**30 apart, so float64 sums round and their order shows
@@ -529,6 +527,20 @@ class TestFitPredictUnseen:
         want = fit_generator(merged, sem, 0.1)
         assert got.coeff.tobytes() == want.coeff.tobytes()
         assert got.covariance.tobytes() == want.covariance.tobytes()
+
+    @pytest.mark.parametrize("fit", [
+        lambda b, sel: fit_predict_unseen(b, sel, "embedding", 0.1, 5, ClassifierConfig(), 0),
+        lambda b, sel: fit_predict_unseen(b, sel, "generative", 0.1, 5, ClassifierConfig(), 0),
+        lambda b, sel: fit_generator(
+            b.train_seen, b.semantics, 0.1, extra=b.test_unseen.features, selected=sel
+        ),
+    ], ids=["embedding", "generative", "fit_generator"])
+    def test_selecting_a_training_class_is_rejected(self, standard_benchmark, fit):
+        bundle, _, _ = standard_benchmark
+        seen = sorted(bundle.split.seen)[1]
+        selected = [(0, sorted(bundle.split.unseen)[0]), (1, seen)]
+        with pytest.raises(ValueError, match=f"selected label '{seen}' is a class of the train"):
+            fit(bundle, selected)
 
     def test_the_generative_classifier_trains_on_the_drawn_rows_alone(
         self, standard_benchmark, monkeypatch
